@@ -1,14 +1,20 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-snapshot fuzz-smoke staticcheck vuln serve-smoke load load-smoke
+.PHONY: ci fmt vet cross build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-snapshot fuzz-smoke staticcheck vuln serve-smoke load load-smoke
 
-ci: fmt vet staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch fuzz-smoke serve-smoke load-smoke
+ci: fmt vet cross staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch fuzz-smoke serve-smoke load-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "$$out"; echo "gofmt: files need formatting"; exit 1; }
 
 vet:
 	$(GO) vet ./...
+
+# Keeps the non-amd64 file split building: off amd64 the pure-Go lane
+# kernels are the only path (on amd64, vet's asmdecl check covers the
+# assembly).
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 build:
 	$(GO) build ./...

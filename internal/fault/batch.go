@@ -9,9 +9,10 @@ import (
 )
 
 // BatchLanes is the default lane count of the batched plan engine: 8
-// damaged sweeps per matrix pass (two quad-lane kernel groups), enough
-// to amortise the matrix traffic that bounds the scalar engine without
-// outgrowing L1 with lane state.
+// damaged sweeps per matrix pass (one AVX2 8-lane kernel group where the
+// CPU has it, four paired-lane groups otherwise), enough to amortise the
+// matrix traffic that bounds the scalar engine without outgrowing L1
+// with lane state.
 const BatchLanes = 8
 
 // BatchPlan evaluates P compiled plans against one model as a single

@@ -9,7 +9,8 @@ import (
 
 // dispatchFixture returns a matrix past the 1<<15 parallel threshold
 // plus operands for every matvec kernel, and a run function exercising
-// all three in one shot.
+// all of them in one shot: single, pair, 4-lane (paired Go kernel) and
+// 8-lane (the AVX2 kernel where the CPU has it).
 func dispatchFixture() (run func(), sink *float64) {
 	r := rng.New(7)
 	m := RandomMatrix(r, 256, 256, 1) // 65536 elements >= 1<<15
@@ -21,20 +22,25 @@ func dispatchFixture() (run func(), sink *float64) {
 	r.Floats(b, -1, 1)
 	y1 := make([]float64, 256)
 	y2 := make([]float64, 256)
-	const lanes = 4
-	xs := make([][]float64, lanes)
-	ys := make([][]float64, lanes)
-	for k := range xs {
-		xs[k] = make([]float64, 256)
-		ys[k] = make([]float64, 256)
-		r.Floats(xs[k], -1, 1)
+	lanes := func(n int) (xs, ys [][]float64) {
+		xs = make([][]float64, n)
+		ys = make([][]float64, n)
+		for k := range xs {
+			xs[k] = make([]float64, 256)
+			ys[k] = make([]float64, 256)
+			r.Floats(xs[k], -1, 1)
+		}
+		return xs, ys
 	}
+	xs, ys := lanes(4)
+	xs8, ys8 := lanes(8)
 	var s float64
 	return func() {
 		m.MulVecAddTo(y1, x1, b)
 		m.MulVec2AddTo(y1, x1, y2, x2, b)
 		m.MulVecLanesAddTo(ys, xs, b)
-		s += y1[0] + y2[0] + ys[0][0]
+		m.MulVecLanesAddTo(ys8, xs8, b)
+		s += y1[0] + y2[0] + ys[0][0] + ys8[7][0]
 	}, &s
 }
 

@@ -54,22 +54,31 @@ func (m *Matrix) MulVecLanesAddTo(ys, xs [][]float64, b []float64) {
 	m.mulVecLanesAddRange(ys, xs, b, 0, m.Rows)
 }
 
-// mulVecLanesAddRange is the serial core: rows outer, lanes inner in
-// pairs, so a row is loaded from the matrix once per pair and stays hot
-// in L1 for every lane. Pairs — not wider groups — are the sweet spot:
-// dotPair's 8 accumulators plus 4 row values fit the 16 vector
-// registers, while a 4-lane kernel's 16 accumulators spill to the stack
-// and lose more to store/reload traffic than the shared row loads save
-// (measured 20-30% slower than pairs from L1 through DRAM-resident
-// sizes on the BENCH_1 reference machine). Per (row, lane) the
-// accumulation is Dot's four-way order, keeping each lane bit-identical
-// to the single-lane kernel.
+// mulVecLanesAddRange is the serial core: rows outer, lanes inner, so a
+// row is loaded from the matrix once per lane group and stays hot in L1
+// for every lane. On CPUs with AVX2 (hasAVX2, decided from CPUID) whole
+// groups of eight lanes go through dot8; the remaining lanes — and every
+// lane elsewhere — go through the pure-Go dotPair in pairs. Pairs are
+// the widest group scalar code sustains: dotPair's 8 accumulators plus 4
+// row values fit the 16 registers, while a 4-lane scalar kernel's 16
+// accumulators spill to the stack and measured 20-30% slower than pairs
+// (BENCH_1 reference machine). Eight lanes fit only because each YMM
+// register holds a lane's four partial sums. Per (row, lane) the
+// accumulation is Dot's four-way order on either path, keeping each
+// lane bit-identical to the single-lane kernel.
 func (m *Matrix) mulVecLanesAddRange(ys, xs [][]float64, b []float64, lo, hi int) {
 	cols := m.Cols
 	data := m.Data
+	groups := 0
+	if hasAVX2 {
+		groups = len(xs) / 8
+	}
 	for r := lo; r < hi; r++ {
 		row := data[r*cols : r*cols+cols]
 		k := 0
+		for ; k < 8*groups; k += 8 {
+			dot8(row, (*[8][]float64)(xs[k:k+8]), (*[8][]float64)(ys[k:k+8]), r)
+		}
 		for ; k+2 <= len(xs); k += 2 {
 			ys[k][r] = dotPair(row, xs[k], xs[k+1], &ys[k+1][r])
 		}
@@ -81,6 +90,25 @@ func (m *Matrix) mulVecLanesAddRange(ys, xs [][]float64, b []float64, lo, hi int
 				ys[k][r] += b[r]
 			}
 		}
+	}
+}
+
+// dot8 stores Dot(row, xs[j]) into ys[j][r] for eight lanes. dot8x4
+// returns each lane's four partial sums over the whole 4-column blocks;
+// the tail columns and the reduction stay in Go as the same expressions
+// Dot evaluates, so each result is bitwise Dot's. Only amd64 with AVX2
+// calls it.
+func dot8(row []float64, xs, ys *[8][]float64, r int) {
+	var acc [32]float64
+	dot8x4(row, xs, &acc)
+	tail := len(row) &^ 3
+	for j := range xs {
+		s0, s1, s2, s3 := acc[4*j], acc[4*j+1], acc[4*j+2], acc[4*j+3]
+		x := xs[j][:len(row)]
+		for i := tail; i < len(row); i++ {
+			s0 += row[i] * x[i]
+		}
+		ys[j][r] = s0 + s1 + s2 + s3
 	}
 }
 

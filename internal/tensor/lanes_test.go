@@ -1,32 +1,44 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// randomShapes sweeps ragged and aligned dimensions around the kernel
+// laneShapes sweeps ragged and aligned dimensions around the kernel
 // unroll width (4) and the L2 tile edge, the places a blocked or
-// multi-lane kernel can diverge from its scalar reference.
+// multi-lane kernel can diverge from its scalar reference. The last two
+// reach the 1<<15-element threshold of the pooled parallel dispatch;
+// 448x448 is the Monte Carlo matrix of the campaign benchmark.
 var laneShapes = []struct{ rows, cols int }{
 	{1, 1}, {1, 3}, {3, 1}, {4, 4}, {5, 7}, {7, 5},
 	{8, 8}, {16, 13}, {13, 16}, {31, 33}, {64, 64},
 	{127, 129}, {129, 127}, {128, 128},
+	{183, 181}, {448, 448},
 }
 
 // TestMulVecLanesMatchesSingleLane is the bit-identity property the
 // batched fault engine rests on: for every lane count (below, at, and
-// above the quad/pair groupings) and every ragged shape, lane k of
-// MulVecLanesAddTo must equal the single-lane MulVecAddTo on the same
-// input exactly — not approximately.
+// above the pair and 8-lane groupings, up to two 8-lane groups plus
+// leftovers), every ragged shape, distinct or aliased right-hand sides
+// and with or without bias, lane k of MulVecLanesAddTo must equal the
+// single-lane MulVecAddTo on the same input bit for bit — not
+// approximately, and not merely == (which would forgive a signed zero).
 func TestMulVecLanesMatchesSingleLane(t *testing.T) {
+	t.Logf("AVX2 8-lane kernel: %v", hasAVX2)
 	r := rng.New(71)
 	for _, sh := range laneShapes {
 		m := RandomMatrix(r, sh.rows, sh.cols, 1.5)
-		b := make([]float64, sh.rows)
-		r.Floats(b, -1, 1)
-		for lanes := 1; lanes <= 9; lanes++ {
+		if sh.rows > 1 {
+			// A zero row sums signed zeros, which == cannot tell apart.
+			Fill(m.Row(sh.rows-1), 0)
+		}
+		bias := make([]float64, sh.rows)
+		r.Floats(bias, -1, 1)
+		want := make([]float64, sh.rows)
+		for lanes := 1; lanes <= 17; lanes++ {
 			xs := make([][]float64, lanes)
 			ys := make([][]float64, lanes)
 			for k := range xs {
@@ -34,25 +46,26 @@ func TestMulVecLanesMatchesSingleLane(t *testing.T) {
 				r.Floats(xs[k], -2, 2)
 				ys[k] = make([]float64, sh.rows)
 			}
-			m.MulVecLanesAddTo(ys, xs, b)
-			want := make([]float64, sh.rows)
-			for k := range xs {
-				m.MulVecAddTo(want, xs[k], b)
-				for j := range want {
-					if ys[k][j] != want[j] {
-						t.Fatalf("%dx%d lanes=%d lane %d row %d: %v != single-lane %v",
-							sh.rows, sh.cols, lanes, k, j, ys[k][j], want[j])
-					}
-				}
+			// Aliased: lanes share three right-hand sides, as lanes
+			// diverging at the same layer of one clean trace do.
+			aliased := make([][]float64, lanes)
+			for k := range aliased {
+				aliased[k] = xs[k%3]
 			}
-			// nil bias path.
-			m.MulVecLanesAddTo(ys, xs, nil)
-			for k := range xs {
-				m.MulVecAddTo(want, xs[k], nil)
-				for j := range want {
-					if ys[k][j] != want[j] {
-						t.Fatalf("%dx%d lanes=%d lane %d row %d (nil bias): %v != %v",
-							sh.rows, sh.cols, lanes, k, j, ys[k][j], want[j])
+			for _, in := range []struct {
+				name string
+				xs   [][]float64
+			}{{"distinct", xs}, {"aliased", aliased}} {
+				for _, b := range [][]float64{bias, nil} {
+					m.MulVecLanesAddTo(ys, in.xs, b)
+					for k := range in.xs {
+						m.MulVecAddTo(want, in.xs[k], b)
+						for j := range want {
+							if math.Float64bits(ys[k][j]) != math.Float64bits(want[j]) {
+								t.Fatalf("%dx%d lanes=%d %s nil-bias=%v lane %d row %d: %v != single-lane %v",
+									sh.rows, sh.cols, lanes, in.name, b == nil, k, j, ys[k][j], want[j])
+							}
+						}
 					}
 				}
 			}
