@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet cross build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-snapshot fuzz-smoke staticcheck vuln serve-smoke load load-smoke
+.PHONY: ci fmt vet cross build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-snapshot bench-pairs fuzz-smoke staticcheck vuln serve-smoke load load-smoke
 
 ci: fmt vet cross staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch fuzz-smoke serve-smoke load-smoke
 
@@ -85,6 +85,14 @@ bench-graph-batch:
 # being hand-assembled. Usage: make bench-snapshot N=11 [> BENCH_11.json]
 bench-snapshot:
 	sh scripts/bench_snapshot.sh $(N)
+
+# Paired A/B runs of the repository benchmark: the working tree against
+# a parent revision, alternating which side runs first, then the
+# perfbench comparison and per-metric pair wins. Not part of ci: each
+# pair is two full benchmark runs.
+# Usage: make bench-pairs REV=HEAD~1 WORKLOAD=campaign-graph SEEDS="911 912 913"
+bench-pairs:
+	sh scripts/bench_pairs.sh $(REV) $(WORKLOAD) $(SEEDS)
 
 # Short coverage-guided runs of every fuzz target, starting from the
 # committed seed corpora (testdata/fuzz/ in each package). Any crasher

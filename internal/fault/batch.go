@@ -28,10 +28,10 @@ const BatchLanes = 8
 // concatenation — levels off the lane's divergence frontier alias the
 // clean trace, levels on it point at the lane's scratch — and every
 // frontier level gathers its lanes through the multi-lane CSR kernel
-// (tensor.CSR.GatherLanesAddTo) in one pass over the level's edge
-// list. A divergent level with no synapse faults and clean sources
-// copies the trace outputs and overrides the faulty neurons, the DAG
-// form of the layered divergence-layer fast path.
+// (tensor.CSR.GatherLanesAddTo), which streams the level's edges once
+// per group of four lanes. A divergent level with no synapse faults and
+// clean sources copies the trace outputs and overrides the faulty
+// neurons, the DAG form of the layered divergence-layer fast path.
 //
 // Per lane the arithmetic replays CompiledPlan.ErrorOnTrace exactly
 // (same kernels, same accumulation order, same fault-application
@@ -262,9 +262,10 @@ func (bp *BatchPlan) evalLanes(injs []Injector, out []float64) {
 // levels off the lane's divergence frontier alias the clean trace and
 // cost nothing, frontier levels evaluate into the lane's scratch — and
 // all lanes live at a level gather together through the multi-lane
-// sparse kernel, one pass over the level's edge list per lane pair.
-// Per lane the arithmetic replays evalDAG's trace path exactly, so
-// results stay bit-identical to the scalar engine for every injector.
+// sparse kernel, one pass over the level's edges per group of four
+// lanes. Per lane the arithmetic replays evalDAG's trace path exactly,
+// so results stay bit-identical to the scalar engine for every
+// injector.
 func (bp *BatchPlan) evalLanesDAG(injs []Injector, out []float64) {
 	m := bp.dag
 	L := m.NumLayers()

@@ -3,10 +3,12 @@ package graph_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/activation"
 	"repro/internal/graph"
+	"repro/internal/nn"
 	"repro/internal/rng"
 )
 
@@ -14,6 +16,7 @@ import (
 // codec is the trust boundary for uploaded documents, so decoding must
 // never panic, anything it accepts must satisfy the full structural
 // Validate contract, and the encoding must be a stable fixed point.
+// Accepted graphs of modest size are then evaluated (checkEval).
 func FuzzGraphJSON(f *testing.F) {
 	r := rng.New(7)
 	for _, g := range []*graph.Net{
@@ -52,5 +55,69 @@ func FuzzGraphJSON(f *testing.F) {
 		if !bytes.Equal(doc, doc2) {
 			t.Fatalf("encoding not stable:\n%s\n%s", doc, doc2)
 		}
+		checkEval(t, &g, rng.New(uint64(len(data))), 1+len(data)%9)
 	})
+}
+
+// checkEval evaluates an accepted graph on random inputs: every level's
+// multi-lane sums must equal its single-lane sums bitwise, and a
+// layer-expressible graph must forward bitwise like its lowered dense
+// twin. That equality rests on absent edges being exact zeros, so it is
+// only claimed where the dense forward stays finite (an infinite level
+// output times a zero weight is NaN in the dense twin). Graphs past
+// 4096 edges or 1<<16 nodes are skipped to keep each case fast.
+func checkEval(t *testing.T, g *graph.Net, r *rng.Rand, lanes int) {
+	L := g.NumLayers()
+	edges, nodes := g.Output.Edges(), 0
+	for l := 0; l <= L; l++ {
+		nodes += g.Width(l)
+		if l > 0 {
+			edges += g.Levels[l-1].Edges()
+		}
+	}
+	if edges > 4096 || nodes > 1<<16 {
+		return
+	}
+	srcs := make([][][]float64, lanes)
+	dsts := make([][]float64, lanes)
+	for k := range srcs {
+		srcs[k] = make([][]float64, L+1)
+		for v := range srcs[k] {
+			srcs[k][v] = make([]float64, g.Width(v))
+			r.Floats(srcs[k][v], -1, 1)
+		}
+	}
+	for l := 1; l <= L; l++ {
+		for k := range dsts {
+			dsts[k] = make([]float64, g.Width(l))
+		}
+		g.LevelSumsLanes(l, dsts, srcs)
+		want := make([]float64, g.Width(l))
+		for k := range srcs {
+			g.LevelSums(l, want, srcs[k], nil)
+			for i := range want {
+				if math.Float64bits(dsts[k][i]) != math.Float64bits(want[i]) {
+					t.Fatalf("level %d lane %d of %d node %d: LevelSumsLanes %v != LevelSums %v", l, k, lanes, i, dsts[k][i], want[i])
+				}
+			}
+		}
+	}
+	if !nn.IsLayered(g) {
+		return
+	}
+	low, err := g.Lower()
+	if err != nil {
+		t.Fatalf("layered graph does not lower: %v", err)
+	}
+	gs, ls := nn.NewScratch(g), nn.NewScratch(low)
+	for k := range srcs {
+		x := srcs[k][0]
+		want := nn.ForwardModel(low, ls, x)
+		if math.IsNaN(want) || math.IsInf(want, 0) {
+			continue
+		}
+		if got := nn.ForwardModel(g, gs, x); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("graph forward %v != lowered %v", got, want)
+		}
+	}
 }

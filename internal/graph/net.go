@@ -12,15 +12,28 @@
 // because a later level may read any earlier one. The graph engine
 // therefore schedules levels topologically and keeps every level's
 // output resident for the duration of one forward pass — O(Σ N_l) live
-// floats (see nn.forwardDAG). Within a level, each node accumulates its
-// in-edges in ascending (srcLevel, srcIdx) order over the virtual
-// concatenation of its level's source levels, replaying the dense
-// kernel's four-lane order (tensor.Dot) on that concatenation: edge
-// columns below concatWidth&^3 feed lane col&3, the tail feeds lane 0,
-// and the bias joins after the lane reduction. Absent edges contribute
-// exact zeros in the dense oracle, so skipping them never changes a
-// lane (the same +0/-0 argument tensor.ConvAcc relies on) and
-// graph-native evaluation is bit-identical to the lowered network.
+// floats (see nn.forwardDAG). Within a level, each node sums its
+// in-edges over the virtual concatenation of its level's source levels,
+// replaying the dense kernel's four-accumulator order (tensor.Dot) on
+// that concatenation: edge columns below concatWidth&^3 feed
+// accumulator col&3, the tail feeds accumulator 0, and the bias joins
+// after the reduction. Absent edges contribute exact zeros in the dense
+// oracle, so skipping them never changes an accumulator (the same
+// +0/-0 argument tensor.ConvAcc relies on) and graph-native evaluation
+// is bit-identical to the lowered network.
+//
+// # Accumulator-split view
+//
+// Compile stores each level a second time as a tensor.CSR split view:
+// every node's edges are partitioned into four runs, one per
+// accumulator, keeping their ascending column order inside each run
+// (tail edges go last in run 0, since their columns are the largest).
+// A kernel sums run a into accumulator a with no per-edge branch, and
+// each accumulator still sees exactly Dot's additions in Dot's order. A
+// level reading a single source level keeps no per-edge level array,
+// and the multi-lane kernels read that level once per group of four
+// lanes. The Level arrays stay as given: they back InEdge, Weight and
+// the JSON codec.
 package graph
 
 import (
@@ -71,13 +84,9 @@ type Net struct {
 // levelMeta is the compiled per-level evaluation metadata.
 type levelMeta struct {
 	srcLevels []int // sorted distinct source levels
-	offsets   []int // concat offset of each srcLevels entry
-	concatW   int   // total width of the virtual source concatenation
-	cut       int   // concatW &^ 3 — the dense kernel's lane boundary
-	col       []int // per-edge concat column
 	maxW      float64
-	prevOnly  bool       // srcLevels ⊆ {l-1}: LayerSums/OutputSum are valid
-	csr       tensor.CSR // zero-copy view over the level's edge arrays
+	prevOnly  bool        // srcLevels ⊆ {l-1}: LayerSums/OutputSum are valid
+	csr       *tensor.CSR // accumulator-split view of the level's edges
 }
 
 // level returns level l's CSR block (1 <= l <= L+1).
@@ -208,29 +217,18 @@ func (n *Net) compileLevel(l int) error {
 			m.srcLevels = append(m.srcLevels, v)
 		}
 	}
-	m.offsets = make([]int, len(m.srcLevels))
-	off := 0
-	for i, v := range m.srcLevels {
-		m.offsets[i] = off
-		off += n.width(v)
+	off := make([]int, l) // concat offset of each source level
+	width := 0
+	for _, v := range m.srcLevels {
+		off[v] = width
+		width += n.width(v)
 	}
-	m.concatW = off
-	m.cut = off &^ 3
 	m.prevOnly = len(m.srcLevels) == 0 || (len(m.srcLevels) == 1 && m.srcLevels[0] == l-1)
-	m.col = make([]int, ne)
-	for e := 0; e < ne; e++ {
-		i := sort.SearchInts(m.srcLevels, lv.SrcLevel[e])
-		m.col[e] = m.offsets[i] + lv.SrcIdx[e]
+	csr, err := tensor.NewCSR(lv.Ptr, lv.SrcLevel, lv.SrcIdx, lv.W, off, width)
+	if err != nil {
+		return fmt.Errorf("graph: level %d: %w", l, err)
 	}
-	m.csr = tensor.CSR{
-		Rows: lv.N,
-		Ptr:  lv.Ptr,
-		Lvl:  lv.SrcLevel,
-		Idx:  lv.SrcIdx,
-		Col:  m.col,
-		W:    lv.W,
-		Cut:  m.cut,
-	}
+	m.csr = csr
 	return nil
 }
 
@@ -307,56 +305,6 @@ func (n *Net) InEdge(l, to, k int) (srcLevel, srcIdx int, w float64) {
 	return lv.SrcLevel[e], lv.SrcIdx[e], lv.W[e]
 }
 
-// nodeSum accumulates node `to`'s in-edges over the full level outputs
-// ys in the dense kernel's lane order (no bias).
-func nodeSum(lv *Level, m *levelMeta, to int, ys [][]float64) float64 {
-	var s0, s1, s2, s3 float64
-	cut := m.cut
-	for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
-		v := lv.W[e] * ys[lv.SrcLevel[e]][lv.SrcIdx[e]]
-		if c := m.col[e]; c < cut {
-			switch c & 3 {
-			case 0:
-				s0 += v
-			case 1:
-				s1 += v
-			case 2:
-				s2 += v
-			case 3:
-				s3 += v
-			}
-		} else {
-			s0 += v
-		}
-	}
-	return s0 + s1 + s2 + s3
-}
-
-// nodeSumPrev is nodeSum for a prevOnly level, reading the previous
-// level's outputs directly (edge column == SrcIdx there).
-func nodeSumPrev(lv *Level, m *levelMeta, to int, y []float64) float64 {
-	var s0, s1, s2, s3 float64
-	cut := m.cut
-	for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
-		v := lv.W[e] * y[lv.SrcIdx[e]]
-		if c := lv.SrcIdx[e]; c < cut {
-			switch c & 3 {
-			case 0:
-				s0 += v
-			case 1:
-				s1 += v
-			case 2:
-				s2 += v
-			case 3:
-				s3 += v
-			}
-		} else {
-			s0 += v
-		}
-	}
-	return s0 + s1 + s2 + s3
-}
-
 // LevelSums computes level l's pre-activation sums into dst from every
 // level's outputs (ys[v] holds level v, ys[0] the input). skip follows
 // the Model contract's skip-rows convention.
@@ -370,7 +318,7 @@ func (n *Net) LevelSums(l int, dst []float64, ys [][]float64, skip []int) {
 			si++
 			continue
 		}
-		s := nodeSum(lv, m, to, ys)
+		s := m.csr.Row(to, ys)
 		if lv.Bias != nil {
 			s += lv.Bias[to]
 		}
@@ -381,9 +329,10 @@ func (n *Net) LevelSums(l int, dst []float64, ys [][]float64, skip []int) {
 // LevelSumsLanes computes level l's pre-activation sums for every lane
 // k into dsts[k] from that lane's per-level outputs srcs[k] (srcs[k][v]
 // holds level v, srcs[k][0] the input), biases included — the
-// multi-lane nn.LevelLaneSummer kernel. Each node's edge list streams
-// from memory once per lane pair instead of once per lane, and every
-// lane is bit-identical to a LevelSums call over the same sources.
+// multi-lane nn.LevelLaneSummer kernel. Each node's edge runs stream
+// from memory once per group of four lanes instead of once per lane,
+// and every lane is bit-identical to a LevelSums call over the same
+// sources.
 func (n *Net) LevelSumsLanes(l int, dsts [][]float64, srcs [][][]float64) {
 	n.mustCompile()
 	lv := n.Levels[l-1]
@@ -419,7 +368,7 @@ func (n *Net) LayerSums(l int, dst, y []float64, skip []int) {
 			si++
 			continue
 		}
-		s := nodeSumPrev(lv, m, to, y)
+		s := m.csr.RowFlat(to, y)
 		if lv.Bias != nil {
 			s += lv.Bias[to]
 		}
@@ -436,37 +385,9 @@ func (n *Net) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
 	if !m.prevOnly {
 		panic(fmt.Sprintf("graph: LayerSums2 on level %d, which reads levels %v — evaluate via DAGModel.LevelSums", l, m.srcLevels))
 	}
-	cut := m.cut
 	for to := 0; to < lv.N; to++ {
-		var a0, a1, a2, a3 float64
-		var b0, b1, b2, b3 float64
-		for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
-			w := lv.W[e]
-			idx := lv.SrcIdx[e]
-			v1 := w * y1[idx]
-			v2 := w * y2[idx]
-			if idx < cut {
-				switch idx & 3 {
-				case 0:
-					a0 += v1
-					b0 += v2
-				case 1:
-					a1 += v1
-					b1 += v2
-				case 2:
-					a2 += v1
-					b2 += v2
-				case 3:
-					a3 += v1
-					b3 += v2
-				}
-			} else {
-				a0 += v1
-				b0 += v2
-			}
-		}
-		s1 := a0 + a1 + a2 + a3
-		s2 := b0 + b1 + b2 + b3
+		s1 := m.csr.RowFlat(to, y1)
+		s2 := m.csr.RowFlat(to, y2)
 		if lv.Bias != nil {
 			s1 += lv.Bias[to]
 			s2 += lv.Bias[to]
@@ -494,14 +415,14 @@ func (n *Net) OutputSum(y []float64) float64 {
 	if !m.prevOnly {
 		panic(fmt.Sprintf("graph: OutputSum on an output reading levels %v — evaluate via DAGModel.OutputSumLevels", m.srcLevels))
 	}
-	return nodeSumPrev(n.Output, m, 0, y) + n.outputBias()
+	return m.csr.RowFlat(0, y) + n.outputBias()
 }
 
 // OutputSumLevels evaluates the linear output node over every level's
 // outputs.
 func (n *Net) OutputSumLevels(ys [][]float64) float64 {
 	n.mustCompile()
-	return nodeSum(n.Output, &n.meta[len(n.Levels)], 0, ys) + n.outputBias()
+	return n.meta[len(n.Levels)].csr.Row(0, ys) + n.outputBias()
 }
 
 // OutgoingWeight scores node `idx` of level l by its largest outgoing

@@ -7,11 +7,13 @@ import (
 	"repro/internal/rng"
 )
 
-// dispatchFixture returns a matrix past the 1<<15 parallel threshold
-// plus operands for every matvec kernel, and a run function exercising
-// all of them in one shot: single, pair, 4-lane (paired Go kernel) and
-// 8-lane (the AVX2 kernel where the CPU has it).
-func dispatchFixture() (run func(), sink *float64) {
+// dispatchFixture returns a matrix and sparse views past the parallel
+// thresholds plus operands for every matvec and gather kernel, and a
+// run function exercising all of them in one shot: single, pair, 4-lane
+// (paired Go kernel) and 8-lane (the AVX2 kernel where the CPU has it)
+// matvecs, and 4- and 8-lane gathers over a multi-block view, a
+// single-block view and the flat entry point.
+func dispatchFixture(t testing.TB) (run func(), sink *float64) {
 	r := rng.New(7)
 	m := RandomMatrix(r, 256, 256, 1) // 65536 elements >= 1<<15
 	x1 := make([]float64, 256)
@@ -34,12 +36,30 @@ func dispatchFixture() (run func(), sink *float64) {
 	}
 	xs, ys := lanes(4)
 	xs8, ys8 := lanes(8)
+	// Both views hold over 10000 edges, so 4 lanes pass csrParallelMin;
+	// the single-block view reads the multi-block view's block 0.
+	multi := randomCSR(t, r, []int{300, 100, 100}, []int{0, 1, 2}, 256, 0.15)
+	single := randomCSR(t, r, []int{300}, []int{0}, 256, 0.15)
+	if min(len(multi.c.W), len(single.c.W))*4 < csrParallelMin {
+		t.Fatal("CSR fixture below the parallel threshold")
+	}
+	srcs := make([][][]float64, 8)
+	flat := make([][]float64, 8)
+	for k := range srcs {
+		srcs[k] = multi.sources(r)
+		flat[k] = srcs[k][0]
+	}
 	var s float64
 	return func() {
 		m.MulVecAddTo(y1, x1, b)
 		m.MulVec2AddTo(y1, x1, y2, x2, b)
 		m.MulVecLanesAddTo(ys, xs, b)
 		m.MulVecLanesAddTo(ys8, xs8, b)
+		for _, n := range []int{4, 8} {
+			multi.c.GatherLanesAddTo(ys8[:n], srcs[:n], b)
+			single.c.GatherLanesAddTo(ys8[:n], srcs[:n], b)
+			single.c.GatherLanesFlatAddTo(ys8[:n], flat[:n], b)
+		}
 		s += y1[0] + y2[0] + ys[0][0] + ys8[7][0]
 	}, &s
 }
@@ -55,7 +75,7 @@ func TestParallelMatvecSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool allocates on Get")
 	}
-	run, sink := dispatchFixture()
+	run, sink := dispatchFixture(t)
 	for i := 0; i < 10; i++ {
 		run() // warm the dispatch pool
 	}
@@ -76,7 +96,7 @@ func TestParallelMatvecDispatchAllocsParallel(t *testing.T) {
 	}
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	run, sink := dispatchFixture()
+	run, sink := dispatchFixture(t)
 	for i := 0; i < 50; i++ {
 		run() // boot the persistent workers, warm every pool shard
 	}
