@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/fault/faulttest"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -363,12 +364,28 @@ func BenchmarkFaultedErrorOn(b *testing.B) {
 func BenchmarkExhaustiveSearch(b *testing.B) {
 	net := benchNet([]int{10, 10})
 	inputs := metrics.RandomPoints(rng.New(3), 8, 4)
+	benchExhaustive(b, net, []int{2, 2}, inputs)
+}
+
+// benchExhaustive runs the pruned tree search b.N times and reports the
+// mean visited and pruned configurations per search next to the time,
+// so snapshots record the bounder's pruning power from change to change
+// (the split varies a little between runs: parallel shards race on the
+// shared pruning floor).
+func benchExhaustive(b *testing.B, m nn.Model, perLayer []int, inputs [][]float64) {
+	b.Helper()
+	var visited, pruned int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fault.ExhaustiveWorstCrash(net, []int{2, 2}, inputs, 1_000_000); err != nil {
+		res, err := fault.ExhaustiveWorstCrash(m, perLayer, inputs, 1_000_000)
+		if err != nil {
 			b.Fatal(err)
 		}
+		visited += res.Visited
+		pruned += res.Pruned
 	}
+	b.ReportMetric(float64(visited)/float64(b.N), "visited/op")
+	b.ReportMetric(float64(pruned)/float64(b.N), "pruned/op")
 }
 
 // BenchmarkDistributedRun measures the goroutine message-passing runtime
@@ -553,12 +570,7 @@ func BenchmarkBatchedSweep(b *testing.B) {
 func BenchmarkExhaustiveSearchWide(b *testing.B) {
 	net := benchNet([]int{64, 64})
 	inputs := metrics.RandomPoints(rng.New(3), 8, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fault.ExhaustiveWorstCrash(net, []int{1, 1}, inputs, 1_000_000); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchExhaustive(b, net, []int{1, 1}, inputs)
 }
 
 // BenchmarkForward32 measures the float32 inference lane against the
@@ -858,7 +870,7 @@ func TestExhaustiveSpeedSmoke(t *testing.T) {
 	}
 	flatSweep := func() {
 		var err error
-		if flatRes, err = fault.ExhaustiveWorstCrashFlat(net, perLayer, inputs, 1_000_000); err != nil {
+		if flatRes, err = faulttest.ExhaustiveWorstCrashFlat(net, perLayer, inputs, 1_000_000); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -888,7 +900,8 @@ func TestExhaustiveSpeedSmoke(t *testing.T) {
 		t.Fatalf("tree sweep (best %v/%d reps) not clearly faster than flat enumeration (best %v/%d reps): has prefix sharing regressed?",
 			tree, reps, flat, reps)
 	}
-	t.Logf("flat %v, tree %v (%.2fx), best of %d rounds x %d reps", flat, tree, float64(flat)/float64(tree), rounds, reps)
+	t.Logf("flat %v, tree %v (%.2fx), best of %d rounds x %d reps; tree visited %d, pruned %d of %d",
+		flat, tree, float64(flat)/float64(tree), rounds, reps, treeRes.Visited, treeRes.Pruned, treeRes.Configurations)
 }
 
 // --- batched + pruned graph engine (BENCH_10.json workloads) -------------
@@ -976,18 +989,12 @@ func BenchmarkGraphExhaustive(b *testing.B) {
 	perLayer := []int{2, 2}
 	b.Run("flat", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fault.ExhaustiveWorstCrashFlat(g, perLayer, inputs, 1_000_000); err != nil {
+			if _, err := faulttest.ExhaustiveWorstCrashFlat(g, perLayer, inputs, 1_000_000); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("tree", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := neurofail.ExhaustiveWorstCrash(g, perLayer, inputs, 1_000_000); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("tree", func(b *testing.B) { benchExhaustive(b, g, perLayer, inputs) })
 }
 
 // TestGraphBatchSpeedSmoke is the enforced form of the BENCH_10.json

@@ -98,8 +98,22 @@ func (n *Net) LayerSums(l int, dst, y []float64, _ []int) {
 	}
 }
 
-// LayerSums2 is the fused two-input sweep.
-func (n *Net) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
+// LayerSumsLanes is the nn.LaneSummer kernel: lanes run in pairs
+// through the fused two-input sweep (one kernel load serves both) and an
+// odd last lane through LayerSums, every lane bit-identical to
+// LayerSums.
+func (n *Net) LayerSumsLanes(l int, dsts, ys [][]float64) {
+	k := 0
+	for ; k+2 <= len(ys); k += 2 {
+		n.layerSums2(l, dsts[k], ys[k], dsts[k+1], ys[k+1])
+	}
+	if k < len(ys) {
+		n.LayerSums(l, dsts[k], ys[k], nil)
+	}
+}
+
+// layerSums2 is the fused two-input sweep of LayerSumsLanes.
+func (n *Net) layerSums2(l int, dst1, y1, dst2, y2 []float64) {
 	lay := n.Layers[l-1]
 	field := lay.Field()
 	positions := len(y1) - field + 1
@@ -307,8 +321,19 @@ func (n *Net2D) LayerSums(l int, dst, y []float64, _ []int) {
 	}
 }
 
-// LayerSums2 is the fused two-input sweep.
-func (n *Net2D) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
+// LayerSumsLanes is the nn.LaneSummer kernel (see Net.LayerSumsLanes).
+func (n *Net2D) LayerSumsLanes(l int, dsts, ys [][]float64) {
+	k := 0
+	for ; k+2 <= len(ys); k += 2 {
+		n.layerSums2(l, dsts[k], ys[k], dsts[k+1], ys[k+1])
+	}
+	if k < len(ys) {
+		n.LayerSums(l, dsts[k], ys[k], nil)
+	}
+}
+
+// layerSums2 is the fused two-input sweep of LayerSumsLanes.
+func (n *Net2D) layerSums2(l int, dst1, y1, dst2, y2 []float64) {
 	inC, inH, inW := n.dimAt(l - 1)
 	lay := n.Layers[l-1]
 	field := lay.Field

@@ -8,15 +8,18 @@ import (
 )
 
 // DAGSubtreeBounder prices branch-and-bound pruning for the
-// tree-structured exhaustive search over arbitrary-topology models. The
-// layered SubtreeBounder compresses each layer to one propagation
-// coefficient Coef(l), which is sound only when every path from a
-// damaged layer to the output threads the strict layer chain — a skip
-// edge routes a deviation AROUND the measured intermediate layers, so
-// the layered bound can undershoot and pruning with it would be
-// unsound. This bounder keeps one coefficient PER NODE instead (the
-// NodeShape construction restricted to free suffixes), so skip edges
-// are priced exactly along their own paths.
+// tree-structured exhaustive search (fault.WorstCase) over any model —
+// layered models reach it through their nn.AsDAG view. Given a node of
+// the configuration tree (levels 1..d damaged and measured, levels > d
+// still free) it bounds the output deviation of EVERY leaf below that
+// node, so a subtree whose bound is strictly below the incumbent worst
+// error can be skipped without evaluating a single leaf. It keeps one
+// propagation coefficient PER NODE (the NodeShape construction
+// restricted to free suffixes) rather than one per layer: skip edges,
+// which route a deviation AROUND the measured intermediate levels, are
+// priced exactly along their own paths, and on layered models the
+// per-edge weights prune far harder than the Fep recurrence's
+// per-layer maxima.
 //
 // Write δ_u(x) ≥ 0 for the absolute deviation of node u's emitted value
 // from the clean trace on input x. At a depth-d tree node the levels
@@ -44,8 +47,8 @@ import (
 // slack) can never discard a configuration attaining the maximum, and
 // ties are never pruned. On a strictly layered model coef_d(u) is zero
 // for every u at levels < d — all paths thread the measured level d —
-// recovering the layered bound's structure with per-edge weights
-// instead of per-layer maxima.
+// recovering the Fep recurrence's layer-by-layer structure with
+// per-edge weights instead of per-layer maxima.
 type DAGSubtreeBounder struct {
 	layers   int
 	maxDepth int
@@ -59,9 +62,9 @@ type DAGSubtreeBounder struct {
 
 // NewDAGSubtreeBounder builds per-node propagation coefficients for a
 // fault distribution (faults[l-1] faulty neurons in layer l) over any
-// Model — one reverse topological sweep per damaged depth, O(dl·E)
-// total. Like NewSubtreeBounder it validates and returns errors: the
-// tree engine is reachable from serve requests.
+// Model — one reverse topological sweep over its nn.AsDAG view, O(E)
+// plus a copy of the measured levels per damaged depth. It validates and
+// returns errors: the tree engine is reachable from serve requests.
 func NewDAGSubtreeBounder(m nn.Model, faults []int) (*DAGSubtreeBounder, error) {
 	act := m.Activation()
 	k := act.Lipschitz()
@@ -85,63 +88,60 @@ func NewDAGSubtreeBounder(m nn.Model, faults []int) (*DAGSubtreeBounder, error) 
 			maxDepth = l
 		}
 	}
-	b := &DAGSubtreeBounder{layers: L, maxDepth: maxDepth}
-	full, err := b.sweep(m, k, 0)
-	if err != nil {
+	b := &DAGSubtreeBounder{layers: L, maxDepth: maxDepth, coef: make([][][]float64, maxDepth+1)}
+	if err := b.sweep(nn.AsDAG(m), k); err != nil {
 		return nil, err
-	}
-	b.amp = full
-	b.coef = make([][][]float64, maxDepth+1)
-	for d := 1; d <= maxDepth; d++ {
-		restricted, err := b.sweep(m, k, d)
-		if err != nil {
-			return nil, err
-		}
-		b.coef[d] = restricted[:d]
 	}
 	return b, nil
 }
 
 // sweep computes, for every node, the amplification of a unit deviation
-// of its emitted value into the output along paths whose INTERMEDIATE
-// nodes all sit at levels > d (d = 0 frees every level: the NodeShape
-// amp). One reverse pass: nodes at levels <= d accumulate incoming
-// amplification but forward nothing — their deviations are measured,
-// not propagated.
-func (b *DAGSubtreeBounder) sweep(m nn.Model, k float64, d int) ([][]float64, error) {
+// of its emitted value into the output, in one reverse pass that pushes
+// each level's amplification (times K for a hidden node) along its
+// in-edges. Once the levels > d are pushed, a node at level v <= d holds
+// its amplification along paths whose INTERMEDIATE nodes all sit at
+// levels > d — the depth-d coefficients, whose lower levels are
+// measured rather than propagated — so coef[d] is that state, copied
+// before level d pushes; when the pass ends every node holds its
+// all-levels-free amp.
+func (b *DAGSubtreeBounder) sweep(m nn.DAGModel, k float64) error {
 	L := b.layers
-	full := make([][]float64, L+2)
+	acc := make([][]float64, L+2)
 	for t := 1; t <= L; t++ {
-		full[t] = make([]float64, m.Width(t))
+		acc[t] = make([]float64, m.Width(t))
 	}
-	full[L+1] = []float64{1}
-	for t := L + 1; t > d; t-- {
-		wt := 1
-		if t <= L {
-			wt = m.Width(t)
+	acc[L+1] = []float64{1}
+	for t := L + 1; t >= 1; t-- {
+		if t <= b.maxDepth {
+			// Every level > t is pushed: these are the depth-t
+			// coefficients.
+			b.coef[t] = make([][]float64, t)
+			for v := 1; v <= t; v++ {
+				b.coef[t][v-1] = append([]float64(nil), acc[v]...)
+			}
 		}
-		for j := 0; j < wt; j++ {
-			g := full[t][j]
+		for j, g := range acc[t] {
 			if t <= L {
 				g *= k
 			}
 			if g == 0 {
 				continue
 			}
-			deg := nn.FanInOf(m, t, j)
+			deg := m.FanIn(t, j)
 			for e := 0; e < deg; e++ {
-				sl, si, w := nn.InEdgeOf(m, t, j, e)
+				sl, si, w := m.InEdge(t, j, e)
 				if math.IsNaN(w) {
-					return nil, fmt.Errorf("core: NaN weight into layer %d", t)
+					return fmt.Errorf("core: NaN weight into layer %d", t)
 				}
 				if sl == 0 {
 					continue // inputs cannot deviate
 				}
-				full[sl][si] += math.Abs(w) * g
+				acc[sl][si] += math.Abs(w) * g
 			}
 		}
 	}
-	return full[1 : L+1], nil
+	b.amp = acc[1 : L+1]
+	return nil
 }
 
 // Layers returns L.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"time"
 
 	"repro/internal/activation"
@@ -17,21 +18,22 @@ func init() {
 		Tags: []string{"extension", "engine", "perf"}, Run: WorstCaseTree})
 }
 
-// WorstCaseTree compares the tree-structured exhaustive engine against
-// the flat reference enumeration on the Section I shapes. The tree
-// shares damaged prefixes across sibling configurations and prunes
-// whole subtrees whose Fep-style bound cannot beat the incumbent, so
-// it visits a fraction of the configurations — but soundness demands
-// the worst error stay bit-identical to the flat oracle's, and the
-// reported plan must attain it exactly. The table's visited/pruned
-// split (from a sequential run, where the counters are deterministic)
-// is the source of the README's pruned-vs-full numbers.
+// WorstCaseTree compares the pruned tree-structured exhaustive engine
+// against the full enumeration — the same walk with Prune off, which
+// evaluates every configuration (the flat_ms column) — on the Section I
+// shapes. Pruning skips whole subtrees whose per-node bound cannot beat
+// the incumbent, so the pruned walk visits a fraction of the
+// configurations — but soundness demands the worst error and the
+// first-attaining plan stay bit-identical to the full enumeration's,
+// and the plan must attain the error exactly. The table's
+// visited/pruned split (from a sequential run, where the counters are
+// deterministic) is the source of the README's pruned-vs-full numbers.
 func WorstCaseTree() *Result {
 	res := &Result{ID: "WC", Title: "Tree-structured exhaustive search: prefix sharing and bound-guided pruning vs flat enumeration"}
 	r := rng.New(0x7ee5)
 	inputs := metrics.RandomPoints(r, 2, 8)
 
-	t := metrics.NewTable("tree engine vs flat enumeration (f = 2 per layer, sequential counters)",
+	t := metrics.NewTable("pruned tree engine vs full enumeration (f = 2 per layer, sequential counters)",
 		"widths", "configurations", "visited", "pruned_%", "flat_ms", "tree_ms", "bit_identical")
 	for _, w := range []int{6, 9, 12, 15} {
 		// Weight scale 2: partially saturated sigmoids give neurons
@@ -48,36 +50,36 @@ func WorstCaseTree() *Result {
 		perLayer := []int{2, 2}
 		shape := core.ShapeOf(net)
 
-		start := time.Now()
-		flat, err := fault.ExhaustiveWorstCrashFlat(net, perLayer, inputs, 5_000_000)
-		flatMS := float64(time.Since(start).Microseconds()) / 1000
+		run := func(prune bool) (fault.ExhaustiveResult, float64, error) {
+			eng, err := fault.NewWorstCase(net, perLayer, inputs, fault.WorstCaseOptions{
+				Prune: prune, Sequential: true, MaxConfigs: 5_000_000,
+			})
+			if err != nil {
+				return fault.ExhaustiveResult{}, 0, err
+			}
+			start := time.Now()
+			out, err := eng.Run(context.Background())
+			return out, float64(time.Since(start).Microseconds()) / 1000, err
+		}
+		flat, flatMS, err := run(false)
 		if err != nil {
-			res.note("width %d: flat: %v", w, err)
+			res.note("width %d: full enumeration: %v", w, err)
 			continue
 		}
-
-		eng, err := fault.NewWorstCase(net, perLayer, inputs, fault.WorstCaseOptions{
-			Prune: true, Sequential: true, MaxConfigs: 5_000_000,
-		})
+		tree, treeMS, err := run(true)
 		if err != nil {
 			res.note("width %d: tree: %v", w, err)
 			continue
 		}
-		start = time.Now()
-		tree, err := eng.Run(context.Background())
-		treeMS := float64(time.Since(start).Microseconds()) / 1000
-		if err != nil {
-			res.note("width %d: tree run: %v", w, err)
-			continue
-		}
 
-		identical := tree.WorstError == flat.WorstError
+		identical := tree.WorstError == flat.WorstError && reflect.DeepEqual(tree.WorstPlan, flat.WorstPlan)
 		attained := fault.MaxError(net, tree.WorstPlan, fault.Crash{}, inputs) == tree.WorstError
 		prunedPct := 100 * float64(tree.Pruned) / float64(tree.Configurations)
 		t.AddRow(fmtInt(w)+"x"+fmtInt(w), fmtInt(int(tree.Configurations)), fmtInt(int(tree.Visited)),
 			fmtF(prunedPct), fmtF(flatMS), fmtF(treeMS), fmtBool(identical && attained))
 		if !identical {
-			res.note("VIOLATION: tree worst %v differs from flat oracle %v at width %d", tree.WorstError, flat.WorstError, w)
+			res.note("VIOLATION: pruned worst %v (plan %v) differs from the full enumeration's %v (plan %v) at width %d",
+				tree.WorstError, tree.WorstPlan, flat.WorstError, flat.WorstPlan, w)
 		}
 		if !attained {
 			res.note("VIOLATION: tree plan does not attain its reported worst error at width %d", w)

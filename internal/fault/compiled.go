@@ -43,16 +43,19 @@ func needsNominal(inj Injector) bool {
 }
 
 // CompiledPlan is a Plan indexed once for repeated evaluation against
-// any nn.Model — dense or convolutional: per-layer fault lists, the
-// first divergent layer (everything before it is shared between the
-// clean and damaged sweeps), and per-layer skip segments for neurons
-// whose received sums are overridden anyway. For conv models the plan's
-// neuron indices address flattened feature-map positions and its
-// synapse (to, from) pairs address the virtual dense connectivity the
-// lowering would materialise — shared kernel-value faults expand to
-// their tied instances via conv's KernelPlan — so evaluation is native:
-// no lowered matrix exists on any path, yet every result is
-// bit-identical to evaluating the lowered network.
+// any nn.Model — dense, convolutional or arbitrary-topology: per-level
+// fault lists, the divergence frontier (levels off it are shared
+// between the clean and damaged sweeps), and per-level skip segments
+// for neurons whose received sums are overridden anyway. Evaluation is
+// level-scheduled over the model's nn.AsDAG view, so synapse faults are
+// addressed by in-edge ordinal — on a layered model that is the source
+// neuron of layer l-1. For conv models the plan's neuron indices
+// address flattened feature-map positions and its synapse (to, from)
+// pairs address the virtual dense connectivity the lowering would
+// materialise — shared kernel-value faults expand to their tied
+// instances via conv's KernelPlan — so evaluation is native: no lowered
+// matrix exists on any path, yet every result is bit-identical to
+// evaluating the lowered network.
 //
 // A CompiledPlan is immutable after Compile and safe for concurrent use
 // by multiple goroutines (evaluation scratch comes from an internal
@@ -60,12 +63,10 @@ func needsNominal(inj Injector) bool {
 // concurrent use. Reset re-indexes a new plan in place and must not race
 // with concurrent evaluations.
 type CompiledPlan struct {
-	net  nn.Model
+	net nn.Model
+	// dag is net's level view (nn.AsDAG), built once at Compile.
+	dag  nn.DAGModel
 	plan Plan
-	// dag is non-nil when net has arbitrary topology; evaluation then
-	// runs the level-scheduled sweep (evalDAG) and addresses synapse
-	// faults by in-edge ordinal (see nn.DAGModel).
-	dag nn.DAGModel
 
 	// neuronsAt[l] / synapsesAt[l] hold the faults acting on layer l
 	// (neurons: 1..L; synapses: 1..L+1).
@@ -75,17 +76,16 @@ type CompiledPlan struct {
 	// outputs are replaced by the injector — their received sums and
 	// activations need not be computed.
 	overridden [][]int
-	// diverge is the first hidden layer whose outputs can differ from the
-	// clean pass (L+1 if only output synapses are faulty or the plan is
-	// empty). lastNominal is the deepest layer with neuron faults (0 if
-	// none).
+	// diverge is the first hidden level on the divergence frontier (L+1
+	// if only output synapses are faulty or the plan is empty): batched
+	// sweeps start there. lastNominal is the deepest layer with neuron
+	// faults (0 if none).
 	diverge     int
 	lastNominal int
-	// frontier[l] (DAG models only) reports whether level l's faulted
-	// outputs can differ from the clean pass — the DAG generalisation of
-	// the single diverge layer: a level is on the divergence frontier if
-	// it hosts faults or reads a frontier level. srcDirty[l] reports the
-	// latter alone (some source level is on the frontier).
+	// frontier[l] reports whether level l's faulted outputs can differ
+	// from the clean pass: a level is on the divergence frontier if it
+	// hosts faults or reads a frontier level (markFrontier). srcDirty[l]
+	// reports the latter alone (some source level is on the frontier).
 	frontier []bool
 	srcDirty []bool
 }
@@ -94,7 +94,7 @@ type CompiledPlan struct {
 // plan addresses layers outside the model (use Plan.Validate for full
 // validation with errors).
 func Compile(m nn.Model, p Plan) *CompiledPlan {
-	cp := &CompiledPlan{net: m}
+	cp := &CompiledPlan{net: m, dag: nn.AsDAG(m)}
 	cp.Reset(p)
 	return cp
 }
@@ -117,10 +117,14 @@ func (cp *CompiledPlan) Reset(p Plan) {
 		cp.neuronsAt = make([][]NeuronFault, L+2)
 		cp.synapsesAt = make([][]SynapseFault, L+2)
 		cp.overridden = make([][]int, L+2)
+		flags := make([]bool, 2*(L+2))
+		cp.frontier, cp.srcDirty = flags[:L+2], flags[L+2:]
 	}
 	cp.neuronsAt = cp.neuronsAt[:L+2]
 	cp.synapsesAt = cp.synapsesAt[:L+2]
 	cp.overridden = cp.overridden[:L+2]
+	cp.frontier = cp.frontier[:L+2]
+	cp.srcDirty = cp.srcDirty[:L+2]
 	for l := range cp.neuronsAt {
 		cp.neuronsAt[l] = cp.neuronsAt[l][:0]
 		cp.synapsesAt[l] = cp.synapsesAt[l][:0]
@@ -139,7 +143,6 @@ func (cp *CompiledPlan) Reset(p Plan) {
 		}
 		cp.synapsesAt[f.Layer] = append(cp.synapsesAt[f.Layer], f)
 	}
-	cp.diverge = L + 1
 	cp.lastNominal = 0
 	for l := 1; l <= L; l++ {
 		sort.Ints(cp.overridden[l])
@@ -153,40 +156,46 @@ func (cp *CompiledPlan) Reset(p Plan) {
 			}
 		}
 		cp.overridden[l] = uniq
-		if len(cp.neuronsAt[l]) > 0 || len(cp.synapsesAt[l]) > 0 {
-			if l < cp.diverge {
-				cp.diverge = l
-			}
-		}
 		if len(cp.neuronsAt[l]) > 0 {
 			cp.lastNominal = l
 		}
 	}
-	cp.dag, _ = cp.net.(nn.DAGModel)
-	if cp.dag != nil {
-		if cap(cp.frontier) < L+2 {
-			cp.frontier = make([]bool, L+2)
-			cp.srcDirty = make([]bool, L+2)
-		}
-		cp.frontier = cp.frontier[:L+2]
-		cp.srcDirty = cp.srcDirty[:L+2]
-		cp.frontier[0], cp.srcDirty[0] = false, false
-		for l := 1; l <= L+1; l++ {
-			dirty := false
-			for _, v := range cp.dag.SrcLevels(l) {
-				if v >= 1 && cp.frontier[v] {
-					dirty = true
-					break
-				}
-			}
-			cp.srcDirty[l] = dirty
-			cp.frontier[l] = dirty || len(cp.neuronsAt[l]) > 0 || len(cp.synapsesAt[l]) > 0
+	for l := range cp.frontier {
+		cp.frontier[l] = len(cp.neuronsAt[l]) > 0 || len(cp.synapsesAt[l]) > 0
+	}
+	markFrontier(cp.dag, cp.frontier, cp.srcDirty)
+	cp.diverge = L + 1
+	for l := 1; l <= L; l++ {
+		if cp.frontier[l] {
+			cp.diverge = l
+			break
 		}
 	}
 	cp.plan = p
 }
 
-// planEval is the reusable scratch of one evaluation: per-layer buffers
+// markFrontier spreads a divergence frontier over dm's levels in
+// ascending order: on entry dirty[l] says whether level l hosts faults;
+// on return it also holds when l reads a dirty level, which srcDirty[l]
+// records alone. Levels 1..len(dirty)-1 are marked; level 0, the input,
+// is always clean. The compiled engine marks it per plan, the tree walk
+// once per fault distribution.
+func markFrontier(dm nn.DAGModel, dirty, srcDirty []bool) {
+	dirty[0], srcDirty[0] = false, false
+	for l := 1; l < len(dirty); l++ {
+		src := false
+		for _, v := range dm.SrcLevels(l) {
+			if v >= 1 && dirty[v] {
+				src = true
+				break
+			}
+		}
+		srcDirty[l] = src
+		dirty[l] = dirty[l] || src
+	}
+}
+
+// planEval is the reusable scratch of one evaluation: per-level buffers
 // for the damaged sweep and (when needed) the clean reference sweep.
 type planEval struct {
 	// sizedFor tags the model the buffers currently fit, skipping the
@@ -194,10 +203,15 @@ type planEval struct {
 	sizedFor nn.Model
 	fault    [][]float64
 	clean    [][]float64
-	// levelsF/levelsC are the per-level output pointers of the DAG sweep
-	// (index v = level v; entry 0 is the input).
+	// levelsF/levelsC are the per-level output pointers of the two
+	// sweeps (index v = level v; entry 0 is the input).
 	levelsF [][]float64
 	levelsC [][]float64
+	// pairDst/pairSrc/pairYs are the arguments of the two-lane level
+	// call that computes the clean and damaged sums together.
+	pairDst [2][]float64
+	pairSrc [2][][]float64
+	pairYs  [2][]float64
 }
 
 func (e *planEval) ensure(m nn.Model) {
@@ -233,8 +247,8 @@ func (cp *CompiledPlan) Forward(inj Injector, x []float64) float64 {
 }
 
 // ErrorOn returns |Fneu(x) - Ffail(x)| with the clean and damaged sweeps
-// fused: layers before the first fault are computed once and shared, and
-// from there each weight is read once for both sweeps.
+// fused: levels off the divergence frontier are computed once and
+// shared, and on it each weight is read once for both sweeps.
 func (cp *CompiledPlan) ErrorOn(inj Injector, x []float64) float64 {
 	e := evalPool.Get().(*planEval)
 	f, c := cp.eval(e, inj, x, nil, true)
@@ -253,18 +267,19 @@ func (cp *CompiledPlan) ErrorOnTrace(inj Injector, tr *nn.Trace) float64 {
 	return math.Abs(tr.Output - f)
 }
 
-// eval runs the fused sweep. tr, when non-nil, supplies the clean trace
-// (no clean computation happens at all); needClean requests the clean
-// output even without a trace. Returns the damaged output and, when
-// available, the clean output.
+// eval runs the fused level-scheduled sweep. Every level stays resident
+// so later levels can read it: levels off the divergence frontier are
+// bitwise identical between the clean and damaged passes and are
+// computed once (or taken straight from the precomputed trace), levels
+// on it branch. tr, when non-nil, supplies the clean trace (no clean
+// computation happens at all); needClean requests the clean output even
+// without a trace. Returns the damaged output and, when available, the
+// clean output.
 func (cp *CompiledPlan) eval(e *planEval, inj Injector, x []float64, tr *nn.Trace, needClean bool) (faulted, clean float64) {
-	if cp.dag != nil {
-		return cp.evalDAG(e, inj, x, tr, needClean)
-	}
-	m := cp.net
+	m := cp.dag
 	L := m.NumLayers()
 	act := m.Activation()
-	e.ensure(m)
+	e.ensure(cp.net)
 
 	// How deep the clean sweep must run: to the end for the fused error,
 	// to the deepest neuron fault when the injector consumes nominal
@@ -281,105 +296,102 @@ func (cp *CompiledPlan) eval(e *planEval, inj Injector, x []float64, tr *nn.Trac
 	// interface call per fault.
 	_, isCrash := inj.(Crash)
 
-	yF, yC := x, x
-	l := 1
-	if tr != nil && cp.diverge > 1 {
-		// Shared prefix is already on the trace: jump to the divergence.
-		l = cp.diverge
-		if l > L+1 {
-			l = L + 1
-		}
-		if l > 1 {
-			yF = tr.Outputs[l-2]
-		}
-	}
-	for ; l <= L; l++ {
+	ysF, ysC := e.levelsF, e.levelsC
+	ysF[0], ysC[0] = x, x
+	for l := 1; l <= L; l++ {
 		sF := e.fault[l-1]
 		switch {
-		case l < cp.diverge:
-			// Shared prefix: one sweep serves both paths.
-			m.LayerSums(l, sF, yF, nil)
-			activation.Eval(act, sF, sF)
-			yF, yC = sF, sF
-			continue
-		case tr == nil && l <= cleanUpTo && !sameSlice(yF, yC):
-			// Diverged and clean still needed: one fused sweep computes
-			// both sums.
-			sC := e.clean[l-1]
-			m.LayerSums2(l, sF, yF, sC, yC)
-			activation.Eval(act, sC, sC)
-			yC = sC
-		case tr == nil && l <= cleanUpTo:
-			// First divergent layer: received sums are still identical,
-			// so compute them once and branch the activations.
-			m.LayerSums(l, sF, yF, nil)
-			sC := e.clean[l-1]
-			copy(sC, sF)
-			activation.Eval(act, sC, sC)
-			yC = sC
-		case tr != nil && l == cp.diverge && len(cp.synapsesAt[l]) == 0:
-			// First divergent layer alongside a precomputed trace, no
-			// synapse faults: the received sums equal the clean ones, so
-			// every non-overridden output is bitwise the trace's — copy
-			// and override, skipping the matvec and the activations.
-			copy(sF, tr.Outputs[l-1])
-			if isCrash {
-				for _, f := range cp.neuronsAt[l] {
-					sF[f.Index] = 0
-				}
-			} else {
-				for _, f := range cp.neuronsAt[l] {
-					sF[f.Index] = inj.NeuronValue(f, tr.Outputs[l-1][f.Index])
-				}
+		case tr != nil:
+			ysC[l] = tr.Outputs[l-1]
+			if !cp.frontier[l] {
+				ysF[l] = tr.Outputs[l-1]
+				continue
 			}
-			yF = sF
+			if len(cp.synapsesAt[l]) == 0 && !cp.srcDirty[l] {
+				// Every source is clean and no synapse fault perturbs the
+				// sums: non-overridden outputs are bitwise the trace's —
+				// copy and override, skipping the sums and activations.
+				copy(sF, tr.Outputs[l-1])
+				cp.overrideNeurons(inj, isCrash, l, sF, tr.Outputs[l-1])
+				ysF[l] = sF
+				continue
+			}
+			m.LevelSums(l, sF, ysF, cp.overridden[l])
+		case !cp.frontier[l]:
+			// Off the frontier: one sweep serves both passes (all sources
+			// of l are themselves off the frontier, so ysF holds their
+			// clean outputs).
+			m.LevelSums(l, sF, ysF, nil)
+			activation.Eval(act, sF, sF)
+			ysF[l], ysC[l] = sF, sF
 			continue
+		case l <= cleanUpTo:
+			sC := e.clean[l-1]
+			if cp.srcDirty[l] {
+				// Both passes read damaged-vs-clean sources: one two-lane
+				// call computes both sums, each weight read once.
+				e.pairDst = [2][]float64{sC, sF}
+				e.pairSrc = [2][][]float64{ysC, ysF}
+				nn.LevelSumsLanesModel(m, l, e.pairDst[:], e.pairSrc[:], e.pairYs[:])
+			} else {
+				// First divergent level: every source is clean, so the
+				// received sums are shared — compute them once and branch
+				// the activations.
+				m.LevelSums(l, sF, ysF, nil)
+				copy(sC, sF)
+			}
+			activation.Eval(act, sC, sC)
+			ysC[l] = sC
 		default:
-			m.LayerSums(l, sF, yF, cp.overridden[l])
+			m.LevelSums(l, sF, ysF, cp.overridden[l])
 		}
 		for _, f := range cp.synapsesAt[l] {
-			transmitted := m.Weight(l, f.To, f.From) * yF[f.From]
-			sF[f.To] += inj.SynapseDelta(f, transmitted)
+			sl, si, w := m.InEdge(l, f.To, f.From)
+			sF[f.To] += inj.SynapseDelta(f, w*ysF[sl][si])
 		}
 		evalSkip(act, sF, cp.overridden[l])
-		if isCrash {
-			for _, f := range cp.neuronsAt[l] {
-				sF[f.Index] = 0
-			}
-		} else {
-			for _, f := range cp.neuronsAt[l] {
-				// The clean output exists wherever the injector can read
-				// it: injectors that never consume nominals (cleanUpTo
-				// stopped short) receive a fixed 0.
-				nom := 0.0
-				if tr != nil {
-					nom = tr.Outputs[l-1][f.Index]
-				} else if l <= cleanUpTo {
-					nom = yC[f.Index]
-				}
-				sF[f.Index] = inj.NeuronValue(f, nom)
-			}
+		var nomC []float64
+		switch {
+		case tr != nil:
+			nomC = tr.Outputs[l-1]
+		case l <= cleanUpTo:
+			nomC = ysC[l]
 		}
-		yF = sF
+		cp.overrideNeurons(inj, isCrash, l, sF, nomC)
+		ysF[l] = sF
 	}
 
-	faulted = m.OutputSum(yF)
+	faulted = m.OutputSumLevels(ysF)
 	for _, f := range cp.synapsesAt[L+1] {
-		transmitted := m.Weight(L+1, f.To, f.From) * yF[f.From]
-		faulted += inj.SynapseDelta(f, transmitted)
+		sl, si, w := m.InEdge(L+1, f.To, f.From)
+		faulted += inj.SynapseDelta(f, w*ysF[sl][si])
 	}
 	switch {
 	case tr != nil:
 		clean = tr.Output
 	case needClean:
-		clean = m.OutputSum(yC)
+		clean = m.OutputSumLevels(ysC)
 	}
 	return faulted, clean
 }
 
-// sameSlice reports whether a and b share the same backing view.
-func sameSlice(a, b []float64) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// overrideNeurons replaces layer l's faulty outputs in sF; nomC, when
+// non-nil, supplies the clean nominal outputs (injectors that never
+// consume nominals receive a fixed 0).
+func (cp *CompiledPlan) overrideNeurons(inj Injector, isCrash bool, l int, sF, nomC []float64) {
+	if isCrash {
+		for _, f := range cp.neuronsAt[l] {
+			sF[f.Index] = 0
+		}
+		return
+	}
+	for _, f := range cp.neuronsAt[l] {
+		nom := 0.0
+		if nomC != nil {
+			nom = nomC[f.Index]
+		}
+		sF[f.Index] = inj.NeuronValue(f, nom)
+	}
 }
 
 // evalSkip applies the activation in place to every entry of s except

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/activation"
@@ -210,6 +211,29 @@ func TestRandomSynapsePlan(t *testing.T) {
 	d := p.PerLayerSynapses(2)
 	if d[0] != 2 || d[1] != 3 || d[2] != 1 {
 		t.Fatalf("synapse distribution = %v", d)
+	}
+}
+
+// TestRandomSynapsePlanDenseDrawPinned pins seeded synapse plans on a
+// dense net to the virtual-dense formula — one r.Sample(N_l·N_{l-1}, k)
+// per layer, flat draw e landing on To = e / N_{l-1},
+// From = e mod N_{l-1} — so stored seeded plans stay reproducible.
+func TestRandomSynapsePlanDenseDrawPinned(t *testing.T) {
+	n := randomSigmoidNet(rng.New(5), []int{7, 5, 6}, 1)
+	perLayer := []int{3, 0, 4, 2}
+	for seed := uint64(1); seed <= 8; seed++ {
+		got := RandomSynapsePlan(rng.New(seed), n, perLayer)
+		r := rng.New(seed)
+		var want []SynapseFault
+		for l := 1; l <= n.NumLayers()+1; l++ {
+			cols := n.Width(l - 1)
+			for _, flat := range r.Sample(n.Width(l)*cols, perLayer[l-1]) {
+				want = append(want, SynapseFault{Layer: l, To: flat / cols, From: flat % cols})
+			}
+		}
+		if !reflect.DeepEqual(got.Synapses, want) {
+			t.Fatalf("seed %d: plan %v, want the virtual-dense draw %v", seed, got.Synapses, want)
+		}
 	}
 }
 

@@ -185,145 +185,7 @@ type ExhaustiveResult struct {
 	Configurations int64
 	// Visited counts configurations actually evaluated and Pruned the
 	// ones skipped by the tree engine's sound branch-and-bound
-	// (Visited + Pruned == Configurations for a completed tree search;
-	// the flat engine evaluates everything, so Visited ==
-	// Configurations and Pruned == 0 there).
+	// (Visited + Pruned == Configurations for a completed search).
 	Visited int64
 	Pruned  int64
-}
-
-// ExhaustiveWorstCrashFlat enumerates every choice of perLayer[l-1]
-// crashed neurons per layer l by flat index, evaluating each
-// configuration with a full damaged sweep on the batched multi-lane
-// engine. This is the pre-tree engine, kept as the reference oracle for
-// the tree-structured search (tree.go): it shares no prefixes and never
-// prunes, so its result is the ground truth the tree must reproduce
-// bit-for-bit. Note its flat order varies the SHALLOWEST layer fastest,
-// the reverse of tree order — under exact error ties the two engines
-// may report different (both first-attaining in their own order) plans.
-func ExhaustiveWorstCrashFlat(n nn.Model, perLayer []int, inputs [][]float64, maxConfigs int64) (ExhaustiveResult, error) {
-	L := n.NumLayers()
-	if len(perLayer) != L {
-		return ExhaustiveResult{}, fmt.Errorf("fault: perLayer has %d entries for %d layers", len(perLayer), L)
-	}
-	widths := make([]int, L)
-	for l := 1; l <= L; l++ {
-		widths[l-1] = n.Width(l)
-	}
-	total, err := CountConfigurations(widths, perLayer)
-	if err != nil {
-		return ExhaustiveResult{}, err
-	}
-	if total > maxConfigs {
-		return ExhaustiveResult{}, fmt.Errorf("fault: %d configurations exceed limit %d", total, maxConfigs)
-	}
-
-	// Materialise per-layer combination lists, then walk their cross
-	// product by flat index so the work parallelises trivially.
-	perLayerCombos := make([][][]int, L)
-	for l := 0; l < L; l++ {
-		var combos [][]int
-		Combinations(n.Width(l+1), perLayer[l], func(idx []int) {
-			combos = append(combos, append([]int(nil), idx...))
-		})
-		perLayerCombos[l] = combos
-	}
-
-	// fillPlan rebuilds the configuration for a flat index into a
-	// reusable buffer — the enumeration loop allocates only when a new
-	// worst case is found.
-	fillPlan := func(buf []NeuronFault, flat int64) []NeuronFault {
-		buf = buf[:0]
-		for l := 0; l < L; l++ {
-			count := int64(len(perLayerCombos[l]))
-			choice := perLayerCombos[l][flat%count]
-			flat /= count
-			for _, idx := range choice {
-				buf = append(buf, NeuronFault{Layer: l + 1, Index: idx})
-			}
-		}
-		return buf
-	}
-
-	// The clean traces are shared by every configuration: evaluate the
-	// input sweep once, then each configuration costs one damaged sweep
-	// per input.
-	traces := CleanTraces(n, inputs)
-
-	type worst struct {
-		err  float64
-		plan Plan
-	}
-	workers := parallel.Workers()
-	partial := make([]worst, workers)
-	chunk := (total + int64(workers) - 1) / int64(workers)
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func(slot int) {
-			defer func() { done <- struct{}{} }()
-			lo := int64(slot) * chunk
-			hi := lo + chunk
-			if hi > total {
-				hi = total
-			}
-			// Each worker owns a batched evaluator: configurations are
-			// loaded BatchLanes at a time and every clean trace is swept
-			// once per group, so each weight matrix streams once per
-			// BatchLanes configurations instead of once per configuration.
-			local := worst{}
-			bp := CompileBatch(n, BatchLanes)
-			var bufs [BatchLanes][]NeuronFault
-			var plans [BatchLanes]Plan
-			var injs [BatchLanes]Injector
-			var errs, laneWorst [BatchLanes]float64
-			for p := range injs {
-				injs[p] = Crash{}
-			}
-			for flat := lo; flat < hi; flat += BatchLanes {
-				lanes := BatchLanes
-				if rem := hi - flat; rem < int64(lanes) {
-					lanes = int(rem)
-				}
-				for p := 0; p < lanes; p++ {
-					bufs[p] = fillPlan(bufs[p], flat+int64(p))
-					plans[p] = Plan{Neurons: bufs[p]}
-					laneWorst[p] = 0
-				}
-				bp.Reset(plans[:lanes])
-				for _, tr := range traces {
-					bp.ErrorsOnTrace(injs[:lanes], tr, errs[:lanes])
-					for p := 0; p < lanes; p++ {
-						if errs[p] > laneWorst[p] {
-							laneWorst[p] = errs[p]
-						}
-					}
-				}
-				// Lanes are visited in flat order, and only a strictly
-				// larger error displaces the incumbent — exactly the
-				// scalar loop's first-attaining-configuration semantics.
-				for p := 0; p < lanes; p++ {
-					if laneWorst[p] > local.err {
-						local.err = laneWorst[p]
-						local.plan = Plan{Neurons: append([]NeuronFault(nil), bufs[p]...)}
-					}
-				}
-			}
-			partial[slot] = local
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	res := ExhaustiveResult{Configurations: total, Visited: total}
-	// Workers cover ascending flat-index shards, so merging in slot
-	// order with a STRICT comparison keeps the first-attaining
-	// configuration: a later shard's equal-error plan must not displace
-	// an earlier shard's.
-	for _, p := range partial {
-		if p.err > res.WorstError {
-			res.WorstError = p.err
-			res.WorstPlan = p.plan
-		}
-	}
-	return res, nil
 }

@@ -15,15 +15,39 @@ import (
 )
 
 // This file implements the tree-structured exhaustive worst-case
-// engine. The flat engine (ExhaustiveWorstCrashFlat) pays a full
-// damaged sweep per configuration; here the configuration space is
-// walked as a DFS whose depth is the layer index, with the DEEPEST
-// faulty layer varying fastest, so siblings at depth d share the
-// damaged prefix of layers < d and recompute only layers >= d. Leaves
-// are further collapsed: the combinations of the deepest faulty layer
-// differ only in which rows of one shared base vector are overridden,
-// so a whole leaf group costs one lane-batched matrix sweep plus an
-// O(f·N) override/output-sum per configuration.
+// engine. A flat enumeration pays a full damaged sweep per
+// configuration; here the configuration space is walked as a DFS whose
+// depth is the layer index, with the DEEPEST faulty layer varying
+// fastest, so siblings at depth d share the damaged prefix of layers
+// < d and recompute only layers >= d. Leaves are further collapsed: the
+// combinations of the deepest faulty layer differ only in which rows of
+// one shared base vector are overridden, so a whole leaf group costs
+// one lane-batched level sweep plus an O(f·N) override/output-sum per
+// configuration.
+//
+// There is one walk for every model. It runs level-scheduled on the
+// model's nn.AsDAG view — a layered model is the DAG whose every level
+// reads only the one before it:
+//
+//   - Each walker keeps per-input per-level output pointers
+//     (wcWalker.lvls): levels off the static frontier alias the clean
+//     trace forever, damaged levels point at the walker's buffers.
+//     Recomputing depths >= firstDiff in ascending level order keeps
+//     every pointer authoritative, because a level only reads levels
+//     before it — the same invariant the compiled engine relies on.
+//   - A depth with faults whose sources are all clean takes the
+//     divergence-copy fast path (copy the clean outputs, apply the
+//     overrides); otherwise the level's sums run through the level lane
+//     kernel across all P inputs at once.
+//   - Pruning prices subtrees with core.DAGSubtreeBounder's per-node
+//     coefficients over per-node measured deviations. Ties are never
+//     pruned, so results — including first-attaining tie-breaks — are
+//     bit-identical to the unpruned walk.
+//
+// The arithmetic of every materialised level replays CompiledPlan's
+// scalar sweep exactly (divergence copy, level sums + activation,
+// overrides from the CLEAN nominal, ascending levels), so recorded
+// errors are bit-identical to ErrorOnTrace on the same configuration.
 //
 // Enumeration order ("tree order"): configurations are indexed by the
 // mixed-radix number whose most significant digit is layer 1's
@@ -34,7 +58,7 @@ import (
 
 // pruneSlack widens every bound-vs-floor comparison: a subtree is
 // pruned only when bound·pruneSlack is still strictly below the floor.
-// The soundness argument (core.SubtreeBounder) is real-arithmetic, but
+// The soundness argument (core.DAGSubtreeBounder) is real-arithmetic, but
 // both the bound and the measured errors are computed in floats whose
 // accumulated relative rounding is ~n·2⁻⁵³ for n arithmetic steps —
 // without slack, a configuration whose measured error lands one ulp
@@ -51,7 +75,7 @@ type WorstCaseOptions struct {
 	// same value at evaluation time).
 	Injector Injector
 	// Prune enables sound branch-and-bound pruning: a subtree is
-	// skipped only when its core.SubtreeBounder bound is STRICTLY below
+	// skipped only when its core.DAGSubtreeBounder bound is STRICTLY below
 	// the incumbent worst error, so the returned result — including
 	// first-attaining tie-breaks — is provably identical to the
 	// unpruned walk; only Visited/Pruned change.
@@ -112,18 +136,13 @@ func (st *SearchState) Merge(o SearchState) {
 // concurrent RunRange/Search calls (each walker owns its buffers; the
 // pruning floor is shared atomically).
 type WorstCase struct {
-	m       nn.Model
+	// m is the model's level view (nn.AsDAG), built once.
+	m       nn.DAGModel
 	inj     Injector
 	isCrash bool
 	prune   bool
-	// dag is non-nil for arbitrary-topology models: the walk then runs
-	// level-scheduled — per-input per-level output pointers with
-	// clean-trace aliasing off the static frontier — and pruning prices
-	// subtrees through core.DAGSubtreeBounder's per-node coefficients
-	// instead of the per-layer chain bound (see dagtree.go).
-	dag  nn.DAGModel
-	seq  bool
-	pool *parallel.Pool
+	seq     bool
+	pool    *parallel.Pool
 
 	L     int
 	lastF int // deepest 1-based layer with faults; 0 when the plan is empty
@@ -137,22 +156,20 @@ type WorstCase struct {
 	inputs [][]float64
 	traces []*nn.Trace
 
-	// Static frontier (dag only): dirtyLvl[l] reports whether level l
-	// can differ from the clean trace under the FULL perLayer pattern
-	// (own faults or any damaged source level); srcDirty[l] the source
-	// half alone. Every configuration of the search damages exactly the
-	// layers with perLayer > 0, so the frontier — and with it every
-	// alias/copy/recompute decision — is one fixed bitmask, identical to
-	// the compiled engine's per-plan frontier for each leaf.
+	// Static frontier: dirtyLvl[l] reports whether level l can differ
+	// from the clean trace under the FULL perLayer pattern (own faults
+	// or any damaged source level); srcDirty[l] the source half alone.
+	// Every configuration of the search damages exactly the layers with
+	// perLayer > 0, so the frontier — and with it every alias/copy/
+	// recompute decision — is one fixed bitmask, identical to the
+	// compiled engine's per-plan frontier for each leaf.
 	dirtyLvl []bool
 	srcDirty []bool
 
-	// Pruning tables (Prune only): tails[d][x] prices the free layers
-	// below depth d on input x; topfLeaf[x] bounds the deepest layer's
-	// own combination deviations. Layered models use the per-layer
-	// bounder; DAG models the per-node nb (whose Amp weighting is
-	// already folded into tails/topfLeaf/baseDelta).
-	bounder  *core.SubtreeBounder
+	// Pruning tables (Prune only): nb holds the per-node coefficients;
+	// tails[d][x] prices the free layers below depth d on input x and
+	// topfLeaf[x] bounds the deepest layer's own combination deviations,
+	// both already weighted by nb's Amp.
 	nb       *core.DAGSubtreeBounder
 	tails    [][]float64
 	topfLeaf []float64
@@ -161,27 +178,27 @@ type WorstCase struct {
 	walkers   sync.Pool
 }
 
-// wcWalker is one DFS walker: the per-depth damaged-trace stack plus
-// the digits it currently embodies.
+// wcWalker is one DFS walker: the damaged level buffers plus the digits
+// it currently embodies.
 type wcWalker struct {
-	ps     nn.PartialStack
+	// sc holds, one lane per input, the damaged outputs of the levels
+	// the walk recomputes.
+	sc     nn.BatchScratch
 	cur    []int64 // cur[d]: combination index materialised at depth d (-1 = invalid)
 	digits []int64
-	deltas [][]float64 // deltas[d][x]: l1 deviation at depth d (layered prune only)
 
 	saved     []float64 // override save/restore buffer for leaf rows
-	baseDelta []float64 // layered: l1 base deviation; dag: Amp-weighted
-	baseGroup int64     // leaf-group whose base occupies ps.Layer(lastF); -1 = none
+	baseDelta []float64 // Amp-weighted deviation of the leaf group's base
+	baseGroup int64     // leaf-group whose base occupies sc.Layer(lastF); -1 = none
 
-	// DAG walk state: lvls[x][v] points at input x's authoritative
-	// level-v outputs — the clean trace for levels off the frontier, the
-	// walker's stack buffers for damaged ones (levels the search never
-	// dirties keep their trace alias forever). dsts/srcs are the lane
-	// argument scratch for the multi-lane level kernel; nodeDeltas[d][x]
-	// holds per-node |damaged - clean| at damaged depths (prune only).
+	// lvls[x][v] points at input x's authoritative level-v outputs — the
+	// clean trace for levels off the frontier, the walker's buffers for
+	// damaged ones (levels the search never dirties keep their trace
+	// alias forever). ys is the level lane kernel's per-input scratch
+	// (nn.LevelSumsLanesModel); nodeDeltas[d][x] holds per-node
+	// |damaged - clean| at damaged depths (prune only).
 	lvls       [][][]float64
-	dsts       [][]float64
-	srcs       [][][]float64
+	ys         [][]float64
 	nodeDeltas [][][]float64
 }
 
@@ -202,6 +219,14 @@ func NewWorstCase(m nn.Model, perLayer []int, inputs [][]float64, opts WorstCase
 			return nil, fmt.Errorf("fault: f_%d = %d outside [0, N_%d=%d]", l+1, f, l+1, widths[l])
 		}
 	}
+	if len(inputs) == 0 {
+		return nil, fmt.Errorf("fault: worst-case search over no inputs")
+	}
+	for i, x := range inputs {
+		if len(x) != m.Width(0) {
+			return nil, fmt.Errorf("fault: input %d has %d entries, want %d", i, len(x), m.Width(0))
+		}
+	}
 	total, err := CountConfigurations(widths, perLayer)
 	if err != nil {
 		return nil, err
@@ -218,8 +243,9 @@ func NewWorstCase(m nn.Model, perLayer []int, inputs [][]float64, opts WorstCase
 	}
 	_, isCrash := inj.(Crash)
 
+	dm := nn.AsDAG(m)
 	w := &WorstCase{
-		m:       m,
+		m:       dm,
 		inj:     inj,
 		isCrash: isCrash,
 		prune:   opts.Prune,
@@ -229,20 +255,6 @@ func NewWorstCase(m nn.Model, perLayer []int, inputs [][]float64, opts WorstCase
 		inputs:  inputs,
 		total:   total,
 	}
-	// Arbitrary-topology models run the same prefix-sharing walk
-	// level-scheduled: the walk keeps per-input per-level output
-	// pointers so a level can read ANY earlier level (damaged buffer or
-	// clean-trace alias), and pruning swaps the per-layer chain bound —
-	// unsound under skip edges, which route a deviation around the
-	// measured layers — for core.DAGSubtreeBounder's per-node path
-	// coefficients. Layered models keep the original machinery.
-	if !nn.IsLayered(m) {
-		dm, ok := nn.AsDAG(m)
-		if !ok {
-			return nil, fmt.Errorf("fault: non-layered model %T has no DAG view", m)
-		}
-		w.dag = dm
-	}
 	for l := L; l >= 1; l-- {
 		if perLayer[l-1] > 0 {
 			w.lastF = l
@@ -250,19 +262,12 @@ func NewWorstCase(m nn.Model, perLayer []int, inputs [][]float64, opts WorstCase
 		}
 	}
 	w.traces = CleanTraces(m, inputs)
-	if w.dag != nil {
-		w.dirtyLvl = make([]bool, L+1)
-		w.srcDirty = make([]bool, L+1)
-		for l := 1; l <= L; l++ {
-			for _, v := range w.dag.SrcLevels(l) {
-				if v >= 1 && w.dirtyLvl[v] {
-					w.srcDirty[l] = true
-					break
-				}
-			}
-			w.dirtyLvl[l] = w.srcDirty[l] || perLayer[l-1] > 0
-		}
+	w.dirtyLvl = make([]bool, L+1)
+	w.srcDirty = make([]bool, L+1)
+	for l := 1; l <= L; l++ {
+		w.dirtyLvl[l] = perLayer[l-1] > 0
 	}
+	markFrontier(dm, w.dirtyLvl, w.srcDirty)
 
 	if w.lastF > 0 {
 		dl := w.lastF
@@ -296,20 +301,17 @@ func NewWorstCase(m nn.Model, perLayer []int, inputs [][]float64, opts WorstCase
 	dl := w.lastF
 	w.walkers.New = func() any {
 		wk := &wcWalker{baseGroup: -1}
-		wk.ps.Ensure(m, P)
-		if w.dag != nil {
-			wk.lvls = make([][][]float64, P)
-			for x, tr := range w.traces {
-				ys := make([][]float64, L+1)
-				ys[0] = tr.Input
-				for v := 1; v <= L; v++ {
-					ys[v] = tr.Outputs[v-1]
-				}
-				wk.lvls[x] = ys
+		wk.sc.Ensure(dm, P)
+		wk.lvls = make([][][]float64, P)
+		for x, tr := range w.traces {
+			ys := make([][]float64, L+1)
+			ys[0] = tr.Input
+			for v := 1; v <= L; v++ {
+				ys[v] = tr.Outputs[v-1]
 			}
-			wk.dsts = make([][]float64, P)
-			wk.srcs = make([][][]float64, P)
+			wk.lvls[x] = ys
 		}
+		wk.ys = make([][]float64, P)
 		if dl > 0 {
 			wk.cur = make([]int64, dl)
 			wk.digits = make([]int64, dl)
@@ -318,23 +320,16 @@ func NewWorstCase(m nn.Model, perLayer []int, inputs [][]float64, opts WorstCase
 			}
 			wk.saved = make([]float64, perLayer[dl-1])
 			if w.prune {
-				if w.dag != nil {
-					wk.nodeDeltas = make([][][]float64, dl)
-					for d := 1; d < dl; d++ {
-						if !w.dirtyLvl[d] {
-							continue // stays clean: deviations identically zero
-						}
-						nd := make([][]float64, P)
-						for x := range nd {
-							nd[x] = make([]float64, m.Width(d))
-						}
-						wk.nodeDeltas[d] = nd
+				wk.nodeDeltas = make([][][]float64, dl)
+				for d := 1; d < dl; d++ {
+					if !w.dirtyLvl[d] {
+						continue // stays clean: deviations identically zero
 					}
-				} else {
-					wk.deltas = make([][]float64, dl)
-					for d := 1; d < dl; d++ {
-						wk.deltas[d] = make([]float64, P)
+					nd := make([][]float64, P)
+					for x := range nd {
+						nd[x] = make([]float64, m.Width(d))
 					}
+					wk.nodeDeltas[d] = nd
 				}
 				wk.baseDelta = make([]float64, P)
 			}
@@ -344,21 +339,19 @@ func NewWorstCase(m nn.Model, perLayer []int, inputs [][]float64, opts WorstCase
 	return w, nil
 }
 
-// buildPruneTables prices every free suffix: per input x and layer l,
-// topf_l(x) is the sum of the f_l largest exact per-neuron deviations
-// |inj(clean_i) - clean_i| (exact because injectors always receive the
-// CLEAN nominal, see core.SubtreeBounder), and tails[d][x] folds them
-// through the propagation coefficients for layers > d.
+// buildPruneTables prices every free suffix over per-node coefficients:
+// per input x and layer l, topf_l(x) is the sum of the f_l largest
+// Amp-weighted exact per-neuron deviations amp_i·|inj(clean_i) -
+// clean_i| (exact because injectors always receive the CLEAN nominal,
+// see core.DAGSubtreeBounder), and tails[d][x] sums them over the
+// layers > d. The Amp weighting happens BEFORE the worst-f selection,
+// so tails and topfLeaf need no further propagation factor.
 func (w *WorstCase) buildPruneTables(perLayer []int) error {
-	if w.dag != nil {
-		return w.buildPruneTablesDAG(perLayer)
-	}
-	shape := core.ShapeOfModel(w.m)
-	b, err := core.NewSubtreeBounder(shape, perLayer)
+	b, err := core.NewDAGSubtreeBounder(w.m, perLayer)
 	if err != nil {
 		return err
 	}
-	w.bounder = b
+	w.nb = b
 	P := len(w.traces)
 	dl := w.lastF
 	topf := make([][]float64, w.L) // topf[l-1][x]; nil for fault-free layers
@@ -373,6 +366,7 @@ func (w *WorstCase) buildPruneTables(perLayer []int) error {
 			devs = make([]float64, width)
 		}
 		devs = devs[:width]
+		amp := b.Amp(l)
 		topf[l-1] = make([]float64, P)
 		for x, tr := range w.traces {
 			clean := tr.Outputs[l-1]
@@ -381,7 +375,7 @@ func (w *WorstCase) buildPruneTables(perLayer []int) error {
 				if !w.isCrash {
 					v = w.inj.NeuronValue(NeuronFault{Layer: l, Index: i}, clean[i])
 				}
-				devs[i] = math.Abs(v - clean[i])
+				devs[i] = amp[i] * math.Abs(v-clean[i])
 			}
 			sort.Float64s(devs)
 			s := 0.0
@@ -398,7 +392,7 @@ func (w *WorstCase) buildPruneTables(perLayer []int) error {
 			t := 0.0
 			for l := d + 1; l <= w.L; l++ {
 				if topf[l-1] != nil {
-					t += b.Coef(l) * topf[l-1][x]
+					t += topf[l-1][x]
 				}
 			}
 			w.tails[d][x] = t
@@ -554,37 +548,26 @@ func (w *WorstCase) walk(ctx context.Context, wk *wcWalker, lo, hi int64, st *Se
 	return ctx.Err()
 }
 
-// applyDepth materialises depth d's damaged outputs for combination ci
-// on top of the current depth d-1 state.
+// applyDepth materialises depth d's damaged outputs for combination ci;
+// shallower levels' pointers (wk.lvls) are authoritative.
 func (w *WorstCase) applyDepth(wk *wcWalker, d int, ci int64) {
-	if w.dag != nil {
-		w.applyDepthDAG(wk, d, ci)
+	if !w.dirtyLvl[d] {
+		// No own faults and every source clean: the trace aliases set at
+		// walker construction are authoritative, deviations are zero.
 		return
 	}
 	combo := w.combos[d-1][ci]
-	prevDirty := wk.ps.Dirty(d - 1)
-	if len(combo) == 0 && !prevDirty {
-		// Clean alias: the trace is authoritative, no buffer to touch.
-		wk.ps.SetDirty(d, false)
-		if w.prune {
-			for x := range w.traces {
-				wk.deltas[d][x] = 0
-			}
-		}
-		return
-	}
 	P := len(w.traces)
-	dst := wk.ps.Layer(d)[:P]
-	if !prevDirty {
-		// First divergent layer: received sums are the clean ones, so
+	dst := wk.sc.Layer(d)[:P]
+	if !w.srcDirty[d] {
+		// First divergent level: received sums are the clean ones, so
 		// outputs are the trace's with the overrides applied (the
 		// compiled engine's divergence-copy fast path).
 		for x, tr := range w.traces {
 			copy(dst[x], tr.Outputs[d-1])
 		}
 	} else {
-		prev := wk.ps.Layer(d - 1)[:P]
-		nn.LayerSumsLanesModel(w.m, d, dst, prev)
+		nn.LevelSumsLanesModel(w.m, d, dst, wk.lvls, wk.ys)
 		act := w.m.Activation()
 		for x := 0; x < P; x++ {
 			activation.Eval(act, dst[x], dst[x])
@@ -609,30 +592,30 @@ func (w *WorstCase) applyDepth(wk *wcWalker, d int, ci int64) {
 			}
 		}
 	}
-	wk.ps.SetDirty(d, true)
+	for x := 0; x < P; x++ {
+		wk.lvls[x][d] = dst[x]
+	}
 	if w.prune {
+		nd := wk.nodeDeltas[d]
 		for x, tr := range w.traces {
 			clean := tr.Outputs[d-1]
 			row := dst[x]
-			s := 0.0
+			out := nd[x]
 			for i := range row {
-				s += math.Abs(row[i] - clean[i])
+				out[i] = math.Abs(row[i] - clean[i])
 			}
-			wk.deltas[d][x] = s
 		}
 	}
 }
 
-// nodeBound is the branch-and-bound price of the subtree rooted at
-// depth d: measured prefix deviation propagated forward plus the
-// free-suffix tail, maximised over inputs.
+// nodeBound is the branch-and-bound price of the subtree rooted at depth
+// d: every measured node's deviation times its free-suffix path
+// coefficient, plus the pre-weighted free-layer tail, maximised over
+// inputs.
 func (w *WorstCase) nodeBound(wk *wcWalker, d int) float64 {
-	if w.dag != nil {
-		return w.nodeBoundDAG(wk, d)
-	}
 	maxB := math.Inf(-1)
 	for x := range w.traces {
-		b := w.bounder.Bound(d, wk.deltas[d][x], w.tails[d][x])
+		b := w.measured(wk, d, d, x, w.tails[d][x])
 		if b > maxB {
 			maxB = b
 		}
@@ -640,17 +623,15 @@ func (w *WorstCase) nodeBound(wk *wcWalker, d int) float64 {
 	return maxB
 }
 
-// leafBound prices a whole leaf group: the measured prefix plus the
-// deepest layer bounded by its base deviation and worst own
-// combination.
+// leafBound prices a whole leaf group: the measured prefix through the
+// depth-dl coefficients, the deepest layer's base deviation and worst
+// own combination already Amp-weighted (buildBase / buildPruneTables),
+// plus the (empty) tail.
 func (w *WorstCase) leafBound(wk *wcWalker) float64 {
-	if w.dag != nil {
-		return w.leafBoundDAG(wk)
-	}
 	dl := w.lastF
 	maxB := math.Inf(-1)
 	for x := range w.traces {
-		b := w.bounder.Bound(dl, wk.baseDelta[x]+w.topfLeaf[x], w.tails[dl][x])
+		b := w.measured(wk, dl, dl-1, x, w.tails[dl][x]+wk.baseDelta[x]+w.topfLeaf[x])
 		if b > maxB {
 			maxB = b
 		}
@@ -658,20 +639,33 @@ func (w *WorstCase) leafBound(wk *wcWalker) float64 {
 	return maxB
 }
 
-// buildBase materialises the deepest faulty layer's outputs under the
-// current spine WITHOUT that layer's own faults — the shared base every
-// leaf of the group overrides in place.
-func (w *WorstCase) buildBase(wk *wcWalker) {
-	if w.dag != nil {
-		w.buildBaseDAG(wk)
-		return
+// measured adds coef·δ over the damaged nodes of levels 1..upTo on
+// input x to b, with the coefficients of a bound at depth d.
+func (w *WorstCase) measured(wk *wcWalker, d, upTo, x int, b float64) float64 {
+	for v := 1; v <= upTo; v++ {
+		if wk.nodeDeltas[v] == nil {
+			continue // clean level: deviations identically zero
+		}
+		nd := wk.nodeDeltas[v][x]
+		for i, c := range w.nb.Coef(d, v) {
+			b += c * nd[i]
+		}
 	}
+	return b
+}
+
+// buildBase materialises the deepest faulty level's outputs under the
+// current spine WITHOUT that level's own faults — the shared base every
+// leaf of the group overrides in place. baseDelta is its Amp-weighted
+// deviation from the clean trace.
+func (w *WorstCase) buildBase(wk *wcWalker) {
 	dl := w.lastF
 	P := len(w.traces)
-	base := wk.ps.Layer(dl)[:P]
-	if !wk.ps.Dirty(dl - 1) {
+	base := wk.sc.Layer(dl)[:P]
+	if !w.srcDirty[dl] {
 		for x, tr := range w.traces {
 			copy(base[x], tr.Outputs[dl-1])
+			wk.lvls[x][dl] = base[x]
 		}
 		if w.prune {
 			for x := range w.traces {
@@ -680,19 +674,20 @@ func (w *WorstCase) buildBase(wk *wcWalker) {
 		}
 		return
 	}
-	prev := wk.ps.Layer(dl - 1)[:P]
-	nn.LayerSumsLanesModel(w.m, dl, base, prev)
+	nn.LevelSumsLanesModel(w.m, dl, base, wk.lvls, wk.ys)
 	act := w.m.Activation()
 	for x := 0; x < P; x++ {
 		activation.Eval(act, base[x], base[x])
+		wk.lvls[x][dl] = base[x]
 	}
 	if w.prune {
+		amp := w.nb.Amp(dl)
 		for x, tr := range w.traces {
 			clean := tr.Outputs[dl-1]
 			row := base[x]
 			s := 0.0
 			for i := range row {
-				s += math.Abs(row[i] - clean[i])
+				s += amp[i] * math.Abs(row[i]-clean[i])
 			}
 			wk.baseDelta[x] = s
 		}
@@ -700,17 +695,14 @@ func (w *WorstCase) buildBase(wk *wcWalker) {
 }
 
 // evalLeaves evaluates leaf configurations [li, leafEnd) of group g:
-// each overrides its combination's rows of the shared base, reads the
-// output, and restores — no subtraction tricks, so the arithmetic is
-// bit-identical to a full scalar evaluation of the same configuration.
+// each overrides its combination's rows of the shared base, propagates
+// the dirty suffix levels, reads the output over the level pointers,
+// and restores — no subtraction tricks, so the arithmetic is
+// bit-identical to a full compiled evaluation of the same
+// configuration.
 func (w *WorstCase) evalLeaves(wk *wcWalker, g, li, leafEnd int64, st *SearchState) {
-	if w.dag != nil {
-		w.evalLeavesDAG(wk, g, li, leafEnd, st)
-		return
-	}
 	dl := w.lastF
-	P := len(w.traces)
-	base := wk.ps.Layer(dl)[:P]
+	base := wk.sc.Layer(dl)[:len(w.traces)]
 	for ci := li; ci < leafEnd; ci++ {
 		combo := w.combos[dl-1][ci]
 		worst := 0.0
@@ -728,12 +720,7 @@ func (w *WorstCase) evalLeaves(wk *wcWalker, g, li, leafEnd int64, st *SearchSta
 					row[idx] = w.inj.NeuronValue(NeuronFault{Layer: dl, Index: idx}, clean[idx])
 				}
 			}
-			var out float64
-			if dl == w.L {
-				out = w.m.OutputSum(row)
-			} else {
-				out = w.propagateSuffix(wk, x, row)
-			}
+			out := w.propagateSuffix(wk, x)
 			for j, idx := range combo {
 				row[idx] = wk.saved[j]
 			}
@@ -751,17 +738,23 @@ func (w *WorstCase) evalLeaves(wk *wcWalker, g, li, leafEnd int64, st *SearchSta
 	}
 }
 
-// propagateSuffix pushes one input's damaged deepest-faulty-layer
-// outputs through the fault-free trailing layers (lastF < L only).
-func (w *WorstCase) propagateSuffix(wk *wcWalker, x int, y []float64) float64 {
+// propagateSuffix pushes one input's damaged state through the levels
+// past the deepest faulty one: levels off the frontier keep their
+// clean-trace aliases (zero cost, like the compiled engine), dirty ones
+// recompute over the level pointers.
+func (w *WorstCase) propagateSuffix(wk *wcWalker, x int) float64 {
+	ys := wk.lvls[x]
 	act := w.m.Activation()
 	for l := w.lastF + 1; l <= w.L; l++ {
-		dst := wk.ps.Layer(l)[x]
-		w.m.LayerSums(l, dst, y, nil)
+		if !w.dirtyLvl[l] {
+			continue
+		}
+		dst := wk.sc.Layer(l)[x]
+		w.m.LevelSums(l, dst, ys, nil)
 		activation.Eval(act, dst, dst)
-		y = dst
+		ys[l] = dst
 	}
-	return w.m.OutputSum(y)
+	return w.m.OutputSumLevels(ys)
 }
 
 // Search processes tree positions [lo, hi) — sharded over the pool

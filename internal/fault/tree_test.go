@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/activation"
@@ -49,51 +48,6 @@ func assertStatesEqual(t *testing.T, label string, got, want SearchState) {
 	}
 	if !reflect.DeepEqual(got.WorstPlan, want.WorstPlan) {
 		t.Fatalf("%s: WorstPlan %v != %v", label, got.WorstPlan, want.WorstPlan)
-	}
-}
-
-// TestTreeMatchesFlatCrash cross-checks the tree engine (pruned,
-// parallel) against the flat PR 7 reference over ragged shapes.
-func TestTreeMatchesFlatCrash(t *testing.T) {
-	r := rng.New(41)
-	cases := []struct {
-		widths   []int
-		perLayer []int
-	}{
-		{[]int{6, 4}, []int{2, 1}},
-		{[]int{5, 4, 3}, []int{1, 1, 2}},
-		{[]int{4, 3, 4}, []int{1, 0, 2}},
-		{[]int{4, 5, 3}, []int{1, 2, 0}}, // trailing fault-free suffix
-		{[]int{9}, []int{3}},
-		{[]int{3, 3}, []int{0, 0}}, // empty plan
-	}
-	for _, tc := range cases {
-		n := randomSigmoidNet(r, tc.widths, 1)
-		inputs := randomInputs(r, 2, 7)
-		tree, err := ExhaustiveWorstCrash(n, tc.perLayer, inputs, 1_000_000)
-		if err != nil {
-			t.Fatalf("%v: %v", tc, err)
-		}
-		flat, err := ExhaustiveWorstCrashFlat(n, tc.perLayer, inputs, 1_000_000)
-		if err != nil {
-			t.Fatalf("%v: %v", tc, err)
-		}
-		if tree.WorstError != flat.WorstError {
-			t.Fatalf("%v: tree worst %v != flat worst %v (must be bit-identical)", tc, tree.WorstError, flat.WorstError)
-		}
-		if tree.Configurations != flat.Configurations {
-			t.Fatalf("%v: configuration counts differ: %d vs %d", tc, tree.Configurations, flat.Configurations)
-		}
-		if tree.Visited+tree.Pruned != tree.Configurations {
-			t.Fatalf("%v: visited %d + pruned %d != %d", tc, tree.Visited, tree.Pruned, tree.Configurations)
-		}
-		// The reported plan must attain the reported error exactly (the
-		// engines may differ under exact ties, where both plans attain).
-		if len(tree.WorstPlan.Neurons) > 0 || tree.WorstError > 0 {
-			if e := MaxError(n, tree.WorstPlan, Crash{}, inputs); e != tree.WorstError {
-				t.Fatalf("%v: tree plan attains %v, claimed %v", tc, e, tree.WorstError)
-			}
-		}
 	}
 }
 
@@ -262,25 +216,6 @@ func TestTreeSearchSplitMerge(t *testing.T) {
 	assertStatesEqual(t, "parallel search", par, full)
 }
 
-// TestFlatMergeFirstAttaining is the regression for the cross-worker
-// reduction bug: with equal-error configurations straddling a worker
-// shard boundary, the flat engine's final merge must keep the EARLIEST
-// shard's plan (the old `>=` let the last shard win).
-func TestFlatMergeFirstAttaining(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // 4 workers, 4 configs -> 1 config per shard
-	defer runtime.GOMAXPROCS(prev)
-	n := symmetricNet()
-	inputs := [][]float64{{0.2, 0.7}, {0.9, 0.1}}
-	res, err := ExhaustiveWorstCrashFlat(n, []int{1}, inputs, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []NeuronFault{{Layer: 1, Index: 0}}
-	if !reflect.DeepEqual(res.WorstPlan.Neurons, want) {
-		t.Fatalf("flat merge picked %v, want first-attaining %v", res.WorstPlan.Neurons, want)
-	}
-}
-
 // TestWorstCaseErrors: malformed distributions error instead of
 // panicking on every entry point reachable from serve.
 func TestWorstCaseErrors(t *testing.T) {
@@ -296,8 +231,15 @@ func TestWorstCaseErrors(t *testing.T) {
 	if _, err := ExhaustiveWorstCrash(n, []int{1, 1, 1}, inputs, 1000); err == nil {
 		t.Fatal("ExhaustiveWorstCrash must error on bad perLayer length")
 	}
-	if _, err := ExhaustiveWorstCrashFlat(n, []int{1}, inputs, 1000); err == nil {
-		t.Fatal("ExhaustiveWorstCrashFlat must error on bad perLayer length")
+	if _, err := NewWorstCase(n, []int{1, 1}, nil, WorstCaseOptions{}); err == nil {
+		t.Fatal("an empty input set must error, not certify the search")
+	}
+	if _, err := NewWorstCase(n, []int{1, 1}, nil, WorstCaseOptions{Prune: true}); err == nil {
+		t.Fatal("an empty input set must error under pruning too")
+	}
+	bad := [][]float64{inputs[0], {0.5, 0.5, 0.5}}
+	if _, err := NewWorstCase(n, []int{1, 1}, bad, WorstCaseOptions{}); err == nil {
+		t.Fatal("an input of the wrong dimension must error, not panic")
 	}
 }
 
@@ -347,3 +289,10 @@ func TestTreeDFSAllocFree(t *testing.T) {
 		t.Fatalf("DFS steady state allocates %v allocs/op, want 0", avg)
 	}
 }
+
+// Test helpers shared with the external fault_test package (flat_test.go).
+var (
+	RandomSigmoidNet = randomSigmoidNet
+	RandomInputs     = randomInputs
+	SymmetricNet     = symmetricNet
+)

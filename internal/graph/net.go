@@ -339,19 +339,6 @@ func (n *Net) LevelSumsLanes(l int, dsts [][]float64, srcs [][][]float64) {
 	n.meta[l-1].csr.GatherLanesAddTo(dsts, srcs, lv.Bias)
 }
 
-// LayerSumsLanes is the multi-lane nn.LaneSummer kernel for prevOnly
-// levels (panics otherwise, like LayerSums): dsts[k] = s^{(l)}(ys[k])
-// with biases, each lane bit-identical to LayerSums.
-func (n *Net) LayerSumsLanes(l int, dsts, ys [][]float64) {
-	n.mustCompile()
-	lv := n.Levels[l-1]
-	m := &n.meta[l-1]
-	if !m.prevOnly {
-		panic(fmt.Sprintf("graph: LayerSumsLanes on level %d, which reads levels %v — evaluate via LevelSumsLanes", l, m.srcLevels))
-	}
-	m.csr.GatherLanesFlatAddTo(dsts, ys, lv.Bias)
-}
-
 // LayerSums is the layered Model kernel; it is only valid for levels
 // that read nothing but level l-1 and panics otherwise — engines that
 // support arbitrary topology use LevelSums via the DAGModel interface.
@@ -373,27 +360,6 @@ func (n *Net) LayerSums(l int, dst, y []float64, skip []int) {
 			s += lv.Bias[to]
 		}
 		dst[to] = s
-	}
-}
-
-// LayerSums2 is the fused two-input sweep (clean+faulted evaluation),
-// bit-identical to two LayerSums calls; prevOnly levels only.
-func (n *Net) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
-	n.mustCompile()
-	lv := n.Levels[l-1]
-	m := &n.meta[l-1]
-	if !m.prevOnly {
-		panic(fmt.Sprintf("graph: LayerSums2 on level %d, which reads levels %v — evaluate via DAGModel.LevelSums", l, m.srcLevels))
-	}
-	for to := 0; to < lv.N; to++ {
-		s1 := m.csr.RowFlat(to, y1)
-		s2 := m.csr.RowFlat(to, y2)
-		if lv.Bias != nil {
-			s1 += lv.Bias[to]
-			s2 += lv.Bias[to]
-		}
-		dst1[to] = s1
-		dst2[to] = s2
 	}
 }
 

@@ -66,9 +66,10 @@ func PutBatchScratch(sc *BatchScratch) { batchScratchPool.Put(sc) }
 // LaneSummer is an optional Model refinement: models whose layers can
 // compute the pre-activation sums of several lane vectors in one sweep
 // over the layer's weights (the multi-lane kernels of tensor). Each
-// lane must be bit-identical to a LayerSums call with the same input;
-// the batched plan evaluator falls back to per-lane LayerSums for
-// models that do not implement it.
+// lane must be bit-identical to a LayerSums call with the same input.
+// The fault engines reach it through AsDAG's layered view
+// (LevelSumsLanesModel) and fall back to per-lane LayerSums for models
+// that do not implement it.
 type LaneSummer interface {
 	// LayerSumsLanes computes dsts[k] = s^{(l)}(ys[k]) for every lane k,
 	// including biases. len(dsts) == len(ys); lanes may share an input
@@ -83,10 +84,10 @@ func (n *Network) LayerSumsLanes(l int, dsts, ys [][]float64) {
 	n.Hidden[l-1].MulVecLanesAddTo(dsts, ys, n.bias(l-1))
 }
 
-// LayerSumsLanesModel dispatches to m's multi-lane kernel when it has
-// one and falls back to per-lane LayerSums otherwise (bit-identical
-// either way).
-func LayerSumsLanesModel(m Model, l int, dsts, ys [][]float64) {
+// layerSumsLanes dispatches to m's multi-lane kernel when it has one
+// and falls back to per-lane LayerSums otherwise (bit-identical either
+// way).
+func layerSumsLanes(m Model, l int, dsts, ys [][]float64) {
 	if ls, ok := m.(LaneSummer); ok {
 		ls.LayerSumsLanes(l, dsts, ys)
 		return
@@ -108,13 +109,22 @@ type LevelLaneSummer interface {
 
 // LevelSumsLanesModel dispatches to m's multi-lane level kernel when it
 // has one and falls back to per-lane LevelSums otherwise (bit-identical
-// either way).
-func LevelSumsLanesModel(m DAGModel, l int, dsts [][]float64, srcs [][][]float64) {
-	if ls, ok := m.(LevelLaneSummer); ok {
-		ls.LevelSumsLanes(l, dsts, srcs)
-		return
-	}
-	for k := range srcs {
-		m.LevelSums(l, dsts[k], srcs[k], nil)
+// either way). ys is caller-owned scratch with room for len(srcs) lanes:
+// a layered view (AsDAG) points ys[k] at lane k's level l-1 and hands it
+// to the model's layer lane kernel, so the call allocates nothing.
+func LevelSumsLanesModel(m DAGModel, l int, dsts [][]float64, srcs [][][]float64, ys [][]float64) {
+	switch v := m.(type) {
+	case *layered:
+		ys = ys[:len(srcs)]
+		for k, s := range srcs {
+			ys[k] = s[l-1]
+		}
+		layerSumsLanes(v.Model, l, dsts, ys)
+	case LevelLaneSummer:
+		v.LevelSumsLanes(l, dsts, srcs)
+	default:
+		for k := range srcs {
+			m.LevelSums(l, dsts[k], srcs[k], nil)
+		}
 	}
 }

@@ -44,10 +44,48 @@ type DAGModel interface {
 	OutputSumLevels(ys [][]float64) float64
 }
 
-// AsDAG returns m's DAG view when it has one.
-func AsDAG(m Model) (DAGModel, bool) {
-	dm, ok := m.(DAGModel)
-	return dm, ok
+// AsDAG returns m as a DAGModel: m itself when it already is one,
+// otherwise its layered view — the DAG in which every level reads only
+// the level before it (Lynch's abstraction argument). The view calls
+// m's own kernels (LevelSums is LayerSums on ys[l-1], OutputSumLevels is
+// OutputSum on ys[L], in-edge k of a neuron is synapse (l-1, k)), so
+// level-scheduled engines evaluate layered models bit-identically to a
+// layer-by-layer sweep. Building a view allocates; engines build it once.
+func AsDAG(m Model) DAGModel {
+	if dm, ok := m.(DAGModel); ok {
+		return dm
+	}
+	L := m.NumLayers()
+	prev := make([]int, L+2)
+	for l := 1; l <= L+1; l++ {
+		prev[l] = l - 1
+	}
+	return &layered{Model: m, prev: prev, out: L}
+}
+
+// layered is the DAG view of a strictly layered model (see AsDAG).
+type layered struct {
+	Model
+	// prev[l] is l-1, the only source level of level l.
+	prev []int
+	// out is L, the level the output node reads.
+	out int
+}
+
+func (v *layered) SrcLevels(l int) []int { return v.prev[l : l+1 : l+1] }
+
+func (v *layered) FanIn(l, _ int) int { return v.Width(l - 1) }
+
+func (v *layered) InEdge(l, to, k int) (srcLevel, srcIdx int, w float64) {
+	return l - 1, k, v.Weight(l, to, k)
+}
+
+func (v *layered) LevelSums(l int, dst []float64, ys [][]float64, skip []int) {
+	v.LayerSums(l, dst, ys[l-1], skip)
+}
+
+func (v *layered) OutputSumLevels(ys [][]float64) float64 {
+	return v.OutputSum(ys[v.out])
 }
 
 // IsLayered reports whether m is expressible as a strict layer chain:

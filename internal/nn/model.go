@@ -42,18 +42,24 @@ import (
 //     compute them anyway (large layers do, to keep row ranges
 //     contiguous for parallel dispatch).
 //
-//   - Bit-identity: LayerSums/LayerSums2/OutputSum must be
-//     allocation-free and bit-identical to the equivalent dense
-//     network's kernels. Zeros outside a conv receptive field (or
-//     absent graph edges) contribute exact zeros, so sparse evaluation
-//     can and must reproduce the dense accumulation order — see
-//     tensor.ConvAcc and graph.Net.
+//   - Bit-identity: LayerSums/OutputSum must be allocation-free and
+//     bit-identical to the equivalent dense network's kernels. Zeros
+//     outside a conv receptive field (or absent graph edges) contribute
+//     exact zeros, so sparse evaluation can and must reproduce the
+//     dense accumulation order — see tensor.ConvAcc and graph.Net.
+//
+//   - Layered view: the fault engines are level-scheduled and run on
+//     DAGModel only. A model that is not one reaches them through
+//     AsDAG's layered view, in which level l reads only level l-1,
+//     in-edge k of a neuron is synapse (l-1, k), and the level kernels
+//     are LayerSums and OutputSum — so a layered model needs nothing
+//     beyond this interface to run on every engine.
 //
 //   - Optional refinements: LaneSummer (multi-lane sums), DAGModel
 //     (arbitrary-topology models; its InEdge/FanIn ordinal addressing
-//     supersedes Weight for engines that support it), and
-//     fault.OutgoingScorer (per-neuron outgoing weight mass) are
-//     discovered by type assertion with generic fallbacks.
+//     supersedes Weight), and fault.OutgoingScorer (per-neuron outgoing
+//     weight mass) are discovered by type assertion with generic
+//     fallbacks.
 type Model interface {
 	// NumLayers returns L, the number of hidden layers.
 	NumLayers() int
@@ -70,10 +76,6 @@ type Model interface {
 	// layer's outputs y (length Width(l-1)), including biases. skip
 	// follows the Model contract's skip-rows convention.
 	LayerSums(l int, dst, y []float64, skip []int)
-	// LayerSums2 computes dst1 from y1 and dst2 from y2 in one fused
-	// sweep over the layer's weights, bit-identical to two LayerSums
-	// calls (the clean+faulted kernel).
-	LayerSums2(l int, dst1, y1, dst2, y2 []float64)
 	// Weight returns the synapse weight into neuron `to` of layer l
 	// (1 <= l <= L+1; the output node ignores `to`) from neuron `from`
 	// of layer l-1 — 0 outside a conv layer's receptive field.
@@ -111,11 +113,6 @@ func (n *Network) LayerSums(l int, dst, y []float64, skip []int) {
 		lo = idx + 1
 	}
 	m.MulVecAddRange(dst, y, b, lo, m.Rows)
-}
-
-// LayerSums2 is the fused two-input sweep (clean+faulted evaluation).
-func (n *Network) LayerSums2(l int, dst1, y1, dst2, y2 []float64) {
-	n.Hidden[l-1].MulVec2AddTo(dst1, y1, dst2, y2, n.bias(l-1))
 }
 
 // Weight returns w^{(l)}_{to,from}; layer L+1 addresses the output

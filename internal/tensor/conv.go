@@ -57,7 +57,8 @@ func (a *ConvAcc) Sum() float64 {
 }
 
 // ConvAcc2 is ConvAcc over two input vectors sharing the kernel loads —
-// the sparse counterpart of MulVec2AddTo's fused clean+faulted sweep.
+// the sparse counterpart of the two-lane MulVecLanesAddTo (conv nets run
+// their lane kernels in pairs through it).
 // Each output is bit-identical to a standalone ConvAcc pass.
 type ConvAcc2 struct {
 	l1, l2 [4]float64

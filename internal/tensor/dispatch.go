@@ -12,7 +12,6 @@ import "sync"
 
 const (
 	mvSingle       = iota // mulVecAddRange
-	mvPair                // mulVec2AddRange
 	mvLanes               // mulVecLanesAddRange
 	mvCSRLanes            // gatherLanesRange
 	mvCSRFlatLanes        // gatherLanesFlatRange
@@ -23,7 +22,6 @@ type mvDispatch struct {
 	kind   int
 	m      *Matrix
 	y1, x1 []float64
-	y2, x2 []float64
 	b      []float64
 	ys, xs [][]float64
 	csr    *CSR
@@ -37,8 +35,6 @@ var mvPool = sync.Pool{New: func() any {
 		switch d.kind {
 		case mvSingle:
 			d.m.mulVecAddRange(d.y1, d.x1, d.b, lo, hi)
-		case mvPair:
-			d.m.mulVec2AddRange(d.y1, d.x1, d.y2, d.x2, d.b, lo, hi)
 		case mvLanes:
 			d.m.mulVecLanesAddRange(d.ys, d.xs, d.b, lo, hi)
 		case mvCSRLanes:
@@ -54,7 +50,7 @@ var mvPool = sync.Pool{New: func() any {
 // caller memory) and returns the dispatch to the pool.
 func (d *mvDispatch) release() {
 	d.m, d.csr = nil, nil
-	d.y1, d.x1, d.y2, d.x2, d.b = nil, nil, nil, nil, nil
+	d.y1, d.x1, d.b = nil, nil, nil
 	d.ys, d.xs, d.srcs = nil, nil, nil
 	mvPool.Put(d)
 }

@@ -9,8 +9,8 @@ import (
 
 // dispatchFixture returns a matrix and sparse views past the parallel
 // thresholds plus operands for every matvec and gather kernel, and a
-// run function exercising all of them in one shot: single, pair, 4-lane
-// (paired Go kernel) and 8-lane (the AVX2 kernel where the CPU has it)
+// run function exercising all of them in one shot: single, 2-lane and
+// 4-lane (paired Go kernel) and 8-lane (the AVX2 kernel where the CPU has it)
 // matvecs, and 4- and 8-lane gathers over a multi-block view, a
 // single-block view and the flat entry point.
 func dispatchFixture(t testing.TB) (run func(), sink *float64) {
@@ -49,10 +49,11 @@ func dispatchFixture(t testing.TB) (run func(), sink *float64) {
 		srcs[k] = multi.sources(r)
 		flat[k] = srcs[k][0]
 	}
+	pairX, pairY := [][]float64{x1, x2}, [][]float64{y1, y2}
 	var s float64
 	return func() {
 		m.MulVecAddTo(y1, x1, b)
-		m.MulVec2AddTo(y1, x1, y2, x2, b)
+		m.MulVecLanesAddTo(pairY, pairX, b)
 		m.MulVecLanesAddTo(ys, xs, b)
 		m.MulVecLanesAddTo(ys8, xs8, b)
 		for _, n := range []int{4, 8} {

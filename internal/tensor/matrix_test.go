@@ -269,29 +269,6 @@ func TestMulVecAddRange(t *testing.T) {
 	}
 }
 
-// TestMulVec2AddTo checks the dual-input fused sweep against two separate
-// matvecs, bit for bit.
-func TestMulVec2AddTo(t *testing.T) {
-	r := rng.New(23)
-	for _, cols := range []int{1, 4, 6, 33} {
-		m := RandomMatrix(r, 7, cols, 1)
-		x1 := make([]float64, cols)
-		x2 := make([]float64, cols)
-		b := make([]float64, 7)
-		r.Floats(x1, -1, 1)
-		r.Floats(x2, -1, 1)
-		r.Floats(b, -1, 1)
-		y1 := make([]float64, 7)
-		y2 := make([]float64, 7)
-		m.MulVec2AddTo(y1, x1, y2, x2, b)
-		for i := 0; i < 7; i++ {
-			if y1[i] != Dot(m.Row(i), x1)+b[i] || y2[i] != Dot(m.Row(i), x2)+b[i] {
-				t.Fatalf("cols %d row %d differs", cols, i)
-			}
-		}
-	}
-}
-
 // TestMatMulTransBInto checks C = A Bᵀ against MatMul with an explicit
 // transpose.
 func TestMatMulTransBInto(t *testing.T) {

@@ -3,7 +3,9 @@
 # BENCH_N.json skeleton on stdout, so PR snapshots stop being
 # hand-assembled: the environment stanza and the per-benchmark
 # ns/B/allocs columns are filled in from a live `go test -bench` run;
-# the narrative fields (title, notes, pre_pr numbers where a PR
+# the exhaustive-search benchmarks also carry their visited/pruned
+# configurations per search, so snapshots record pruning power; the
+# narrative fields (title, notes, pre_pr numbers where a PR
 # measures against a stashed baseline) stay "FILL ME" for the author.
 #
 # Usage: sh scripts/bench_snapshot.sh 11 > BENCH_11.json
@@ -24,12 +26,14 @@ printf '%s\n' "$out" | awk -v n="$N" -v date="$(date -u +%Y-%m-%d)" -v vcpus="$(
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
-    ns = $3; bytes = "0"; allocs = "0"
+    ns = $3; bytes = "0"; allocs = "0"; extra = ""
     for (i = 4; i <= NF; i++) {
-        if ($i == "B/op")      bytes  = $(i - 1)
-        if ($i == "allocs/op") allocs = $(i - 1)
+        if ($i == "B/op")       bytes  = $(i - 1)
+        if ($i == "allocs/op")  allocs = $(i - 1)
+        if ($i == "visited/op") extra = extra sprintf(", \"visited_per_op\": %s", $(i - 1))
+        if ($i == "pruned/op")  extra = extra sprintf(", \"pruned_per_op\": %s", $(i - 1))
     }
-    names[++count] = name; nss[count] = ns; bs[count] = bytes; as[count] = allocs
+    names[++count] = name; nss[count] = ns; bs[count] = bytes; as[count] = allocs; xs[count] = extra
 }
 END {
     printf "{\n"
@@ -46,7 +50,7 @@ END {
     printf "  },\n"
     printf "  \"acceptance\": {\n"
     for (i = 1; i <= count; i++)
-        printf "    \"%s\": { \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s },\n", names[i], nss[i], bs[i], as[i]
+        printf "    \"%s\": { \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s%s },\n", names[i], nss[i], bs[i], as[i], xs[i]
     printf "    \"note\": \"FILL ME: which gates these numbers clear and why\"\n"
     printf "  }\n"
     printf "}\n"
