@@ -3,7 +3,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strings"
 
 	"repro/internal/activation"
 	"repro/internal/cliutil"
@@ -16,23 +15,18 @@ import (
 )
 
 // cmdConv dispatches the convolutional subcommands: `train` fits a 1-D
-// or 2-D conv net on a shift-invariant synthetic task, `bounds` prints
-// the Section VI receptive-field certificates, and `inject` runs any
-// registered fault model through the native conv engine (no dense
-// lowering anywhere).
+// or 2-D conv net on a shift-invariant synthetic task. The top-level
+// bounds and inject commands take conv models like any other (inject's
+// -kernels fails shared kernel values).
 func cmdConv(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("usage: neurofail conv <train|bounds|inject> [flags]")
+		return fmt.Errorf("usage: neurofail conv train [flags]")
 	}
 	switch args[0] {
 	case "train":
 		return cmdConvTrain(args[1:])
-	case "bounds":
-		return cmdConvBounds(args[1:])
-	case "inject":
-		return cmdConvInject(args[1:])
 	default:
-		return fmt.Errorf("conv: unknown subcommand %q (want train, bounds or inject)", args[0])
+		return fmt.Errorf("conv: unknown subcommand %q (want train; bounds and inject take conv models directly)", args[0])
 	}
 }
 
@@ -146,163 +140,6 @@ func cmdConvTrain(args []string) error {
 	return nil
 }
 
-// loadConvModel loads a model document and rejects dense networks (the
-// dense subcommands already serve those).
-func loadConvModel(path string) (nn.Model, error) {
-	m, err := cliutil.LoadModel(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, dense := m.(*nn.Network); dense {
-		return nil, fmt.Errorf("%s holds a dense network: use the top-level bounds/inject commands", path)
-	}
-	return m, nil
-}
-
-// receptiveFields returns R(l) per layer.
-func receptiveFields(m nn.Model) []int {
-	switch n := m.(type) {
-	case *conv.Net:
-		out := make([]int, len(n.Layers))
-		for i, l := range n.Layers {
-			out[i] = l.Field()
-		}
-		return out
-	case *conv.Net2D:
-		out := make([]int, len(n.Layers))
-		for i, l := range n.Layers {
-			out[i] = l.ReceptiveField()
-		}
-		return out
-	}
-	return nil
-}
-
-func cmdConvBounds(args []string) error {
-	fs := flag.NewFlagSet("conv bounds", flag.ExitOnError)
-	netPath := fs.String("net", "conv.json", "conv model file")
-	faultsArg := fs.String("faults", "1", "faults per layer (uniform or comma-separated)")
-	c := fs.Float64("c", 1, "synaptic capacity / deviation bound C")
-	eps := fs.Float64("eps", 0, "required accuracy ε (0 = skip tolerance check)")
-	epsPrime := fs.Float64("epsprime", 0, "achieved accuracy ε'")
-	fs.Parse(args)
-
-	m, err := loadConvModel(*netPath)
-	if err != nil {
-		return err
-	}
-	s := core.ShapeOfModel(m)
-	faults, err := cliutil.ParseFaults(*faultsArg, m.NumLayers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-	fmt.Printf("conv model: arch=%s L=%d widths=%v R(l)=%v K=%g\n",
-		conv.ArchOf(m), s.Layers(), s.Widths, receptiveFields(m), s.K)
-	fmt.Printf("w_m over receptive-field values (Section VI): %v\n", s.MaxW)
-	fmt.Printf("faults:  %v\n", faults)
-	fmt.Printf("Fep (Byzantine, C=%g):  %.6f\n", *c, core.Fep(s, faults, *c))
-	fmt.Printf("Fep (crash):            %.6f\n", core.CrashFep(s, faults))
-	synFaults := append(append([]int{}, faults...), 0)
-	fmt.Printf("SynapseFep (C=%g):      %.6f\n", *c, core.SynapseFep(s, synFaults, *c))
-	if *eps > 0 {
-		fmt.Printf("tolerated (Byzantine):  %v\n", core.Tolerates(s, faults, *c, *eps, *epsPrime))
-		fmt.Printf("tolerated (crash):      %v\n", core.CrashTolerates(s, faults, *eps, *epsPrime))
-		fmt.Printf("required signals/layer: %v (Corollary 2)\n", core.RequiredSignals(s, faults))
-	}
-	return nil
-}
-
-func cmdConvInject(args []string) error {
-	fs := flag.NewFlagSet("conv inject", flag.ExitOnError)
-	netPath := fs.String("net", "conv.json", "conv model file")
-	faultsArg := fs.String("faults", "1", "neuron faults per layer (ignored with -kernels)")
-	kernels := fs.Int("kernels", 0, "instead fail the K largest shared kernel values per layer")
-	mode := fs.String("mode", "crash", "fault model name (see 'neurofail models')")
-	c := fs.Float64("c", 1, "capacity for byzantine/noise models")
-	value := fs.Float64("value", 0.8, "latched output for the stuck model")
-	prob := fs.Float64("prob", 0.5, "failure probability for the intermittent model")
-	bits := fs.Int("bits", 8, "code width for the bitflip model")
-	bit := fs.Int("bit", 7, "flipped bit for the bitflip model (bits-1 = sign)")
-	adversarial := fs.Bool("adversarial", true, "target heaviest weights (false = random)")
-	seed := fs.Uint64("seed", 7, "seed for random plans and stochastic models")
-	fs.Parse(args)
-
-	model, ok := fault.Lookup(*mode)
-	if !ok {
-		return fmt.Errorf("unknown fault model %q; registered models: %s",
-			*mode, strings.Join(fault.ModelNames(), ", "))
-	}
-	m, err := loadConvModel(*netPath)
-	if err != nil {
-		return err
-	}
-	s := core.ShapeOfModel(m)
-	faults, err := cliutil.ParseFaults(*faultsArg, m.NumLayers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-
-	var plan fault.Plan
-	var bound float64
-	kind := "neuron"
-	switch {
-	case *kernels > 0:
-		kind = "shared-kernel"
-		// Clamp to each layer's kernel-value count, mirroring the
-		// ClampFaults convention for neuron faults.
-		perLayer := kernelValueCounts(m)
-		for i, count := range perLayer {
-			if *kernels < count {
-				perLayer[i] = *kernels
-			}
-		}
-		switch cn := m.(type) {
-		case *conv.Net:
-			plan = cn.AdversarialKernelPlan(perLayer)
-		case *conv.Net2D:
-			plan = cn.AdversarialKernelPlan(perLayer)
-		}
-		// A shared-weight fault is a fault on every tied synapse
-		// instance: the certificate is SynapseFep over the instance
-		// counts, with the model's per-synapse deviation cap.
-		synPerLayer := plan.PerLayerSynapses(m.NumLayers())
-		bound = core.SynapseFep(s, synPerLayer, model.SynapseDeviation(convParams(m, *c, *value, *prob, *bits, *bit, *seed), s))
-	case *adversarial:
-		plan = fault.AdversarialNeuronPlan(m, faults)
-	default:
-		plan = fault.RandomNeuronPlan(rng.New(*seed), m, faults)
-	}
-	params := convParams(m, *c, *value, *prob, *bits, *bit, *seed)
-	inj, err := model.New(params)
-	if err != nil {
-		return err
-	}
-	if kind == "neuron" {
-		bound = core.Fep(s, faults, model.NeuronDeviation(params, s))
-	}
-	inputs := evalInputs(m.Width(0))
-	var measured float64
-	if model.Deterministic {
-		measured = fault.MaxError(m, plan, inj, inputs)
-	} else {
-		measured = fault.MaxErrorSeq(m, plan, inj, inputs)
-	}
-	fmt.Printf("native %s injection on %s conv model (%s): %d neuron + %d synapse faults\n",
-		kind, conv.ArchOf(m), model.Name, len(plan.Neurons), len(plan.Synapses))
-	fmt.Printf("model: %s\n", model.Description)
-	fmt.Printf("measured max |Fneu - Ffail| over %d inputs: %.6f\n", len(inputs), measured)
-	fmt.Printf("receptive-field bound (Section VI):         %.6f\n", bound)
-	if bound > 0 {
-		fmt.Printf("bound utilisation: %.1f%%\n", 100*measured/bound)
-	}
-	if measured > bound*(1+1e-9) {
-		return fmt.Errorf("bound violated — this is a bug")
-	}
-	return nil
-}
-
 // kernelValueCounts returns the number of distinct kernel values per
 // layer — the ceiling for -kernels.
 func kernelValueCounts(m nn.Model) []int {
@@ -323,16 +160,19 @@ func kernelValueCounts(m nn.Model) []int {
 	return nil
 }
 
-// convParams assembles registry parameters against a conv model.
-func convParams(m nn.Model, c, value, prob float64, bits, bit int, seed uint64) fault.Params {
-	return fault.Params{
-		C:     c,
-		Sem:   core.DeviationCap,
-		Value: value,
-		Prob:  prob,
-		Bits:  bits,
-		Bit:   bit,
-		Net:   m,
-		R:     rng.New(seed ^ 0xfa0175),
+// kernelPlan fails the k largest shared kernel values of every layer of
+// a conv model, capped at each layer's kernel-value count (the
+// ClampFaults convention for neuron faults).
+func kernelPlan(m nn.Model, k int) (fault.Plan, error) {
+	perLayer := kernelValueCounts(m)
+	for i, count := range perLayer {
+		perLayer[i] = min(k, count)
 	}
+	switch cn := m.(type) {
+	case *conv.Net:
+		return cn.AdversarialKernelPlan(perLayer), nil
+	case *conv.Net2D:
+		return cn.AdversarialKernelPlan(perLayer), nil
+	}
+	return fault.Plan{}, fmt.Errorf("-kernels fails shared kernel values: it needs a conv model, not a %s one", conv.ArchOf(m))
 }

@@ -3,18 +3,23 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/activation"
 	"repro/internal/cliutil"
 	"repro/internal/conv"
 	"repro/internal/fault"
+	"repro/internal/nn"
+	"repro/internal/rng"
 	"repro/internal/store"
 )
 
-// TestConvTrainInjectBoundsRoundTrip drives the conv CLI end to end for
-// both architectures: train, reload, certify, and inject every
-// registered fault model through the native engine (inject itself
-// errors if a measurement ever exceeds its bound).
+// TestConvTrainInjectBoundsRoundTrip drives conv models through the CLI
+// end to end for both architectures: train, reload, certify with
+// bounds, and inject every registered fault model through the native
+// engine (inject itself errors if a measurement ever exceeds its
+// bound).
 func TestConvTrainInjectBoundsRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains conv nets")
@@ -42,26 +47,26 @@ func TestConvTrainInjectBoundsRoundTrip(t *testing.T) {
 			t.Fatalf("round-tripped arch %q, want %q", conv.ArchOf(m), wantArch)
 		}
 
-		if err := cmdConvBounds([]string{
+		if err := cmdBounds([]string{
 			"-net", netPath, "-faults", "1", "-c", "1", "-eps", "2", "-epsprime", "0.05",
 		}); err != nil {
-			t.Errorf("conv bounds %s: %v", arch, err)
+			t.Errorf("bounds %s: %v", arch, err)
 		}
 
 		for _, name := range fault.ModelNames() {
-			if err := cmdConvInject([]string{
+			if err := cmdInject([]string{
 				"-net", netPath, "-faults", "1", "-mode", name,
 				"-c", "0.6", "-value", "0.7", "-prob", "0.5", "-bits", "8", "-bit", "6",
 			}); err != nil {
-				t.Errorf("conv inject %s -mode %s: %v", arch, name, err)
+				t.Errorf("inject %s -mode %s: %v", arch, name, err)
 			}
 		}
 
 		// Shared kernel-value faults through the native engine.
-		if err := cmdConvInject([]string{
+		if err := cmdInject([]string{
 			"-net", netPath, "-kernels", "1", "-mode", "crash",
 		}); err != nil {
-			t.Errorf("conv inject %s -kernels: %v", arch, err)
+			t.Errorf("inject %s -kernels: %v", arch, err)
 		}
 	}
 
@@ -82,18 +87,18 @@ func TestConvTrainInjectBoundsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConvRejectsDenseNetworks pins the guard: the conv subcommands
-// refuse dense documents.
-func TestConvRejectsDenseNetworks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains a network")
+// TestInjectKernelsNeedsConvModel pins the -kernels guard: shared
+// kernel values exist only in conv models, so a dense network is
+// refused.
+func TestInjectKernelsNeedsConvModel(t *testing.T) {
+	netPath := filepath.Join(t.TempDir(), "net.json")
+	net := nn.NewRandom(rng.New(1), nn.Config{InputDim: 1, Widths: []int{4}, Act: activation.NewSigmoid(1)}, 1)
+	if err := cliutil.SaveNetwork(netPath, net); err != nil {
+		t.Fatal(err)
 	}
-	netPath := trainTestNet(t, t.TempDir())
-	if err := cmdConvBounds([]string{"-net", netPath}); err == nil {
-		t.Fatal("conv bounds accepted a dense network")
-	}
-	if err := cmdConvInject([]string{"-net", netPath}); err == nil {
-		t.Fatal("conv inject accepted a dense network")
+	err := cmdInject([]string{"-net", netPath, "-kernels", "1"})
+	if err == nil || !strings.Contains(err.Error(), "conv model") {
+		t.Fatalf("inject -kernels on a dense network: %v, want a conv-model error", err)
 	}
 }
 

@@ -16,9 +16,12 @@
 //	neurofail serve    -addr :7077 -store artifacts -job-workers 4
 //	neurofail jobs     submit -addr :7077 -kind montecarlo -request '{"network_id": "...", "trials": 100000}' -watch
 //
-// inject's -mode accepts any model registered in the fault-model
-// registry (crash, byzantine, stuck, intermittent, noise, signflip,
-// bitflip, ...); `neurofail models` prints the catalogue.
+// bounds, inject, montecarlo and worstcase take any saved model — dense,
+// convolutional or graph — and answer exactly what the matching /v1
+// route answers for it. inject's -mode accepts any model registered in
+// the fault-model registry (crash, byzantine, stuck, intermittent,
+// noise, signflip, bitflip, ...); `neurofail models` prints the
+// catalogue.
 //
 // store manages the content-addressed artifact store (networks,
 // quantised-model recipes, experiment outcomes) and serve exposes the
@@ -43,10 +46,13 @@ import (
 	"repro/internal/activation"
 	"repro/internal/approx"
 	"repro/internal/cliutil"
+	"repro/internal/conv"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/metrics"
+	"repro/internal/nn"
+	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/serve"
@@ -106,7 +112,7 @@ func usage() {
 
 commands:
   train     train an ε'-approximation of a target and save it as JSON
-  bounds    compute Fep / tolerance certificates for a saved network
+  bounds    compute Fep / tolerance certificates for a saved model (dense, conv or graph)
   inject    inject any registered fault model and compare measured error with its bound
   models    print the fault-model registry
   quantize   build a fixed-point implementation with a Theorem 5 certificate
@@ -114,8 +120,8 @@ commands:
   montecarlo sample random failure configurations: error profile vs the bound
   worstcase  exhaustive worst-case search over every failure configuration (tree engine)
   stream     process a stream while failures accumulate on a schedule
-  conv       convolutional models: train, bounds (Section VI), native fault injection
-  graph      arbitrary-topology models: gen, per-node + compositional bounds, native injection
+  conv       convolutional models: train
+  graph      arbitrary-topology models: gen
   store      manage the content-addressed artifact store (add, list, show)
   serve      run the long-running robustness-query HTTP service
   jobs       client for the server's async job tier (submit, status, watch, result, cancel, list)
@@ -135,13 +141,6 @@ func targets() map[string]approx.Target {
 	m["xor"] = approx.XORLike()
 	m["control"] = approx.ControlSurface()
 	return m
-}
-
-func evalInputs(d int) [][]float64 {
-	if d <= 2 {
-		return metrics.Grid(d, 41)
-	}
-	return metrics.RandomPoints(rng.New(12345), d, 500)
 }
 
 func cmdTrain(args []string) error {
@@ -335,100 +334,177 @@ func cmdServe(args []string) error {
 	})
 }
 
+// query is a loaded model of any architecture with a fault distribution
+// resolved against it and the pricer core.PricerFor chooses for it —
+// the state bounds, inject, montecarlo and worstcase share, so each
+// answers exactly what the matching /v1 route answers.
+type query struct {
+	m      nn.Model
+	shape  core.Shape
+	pricer core.Pricer
+	faults []int
+}
+
+// loadQuery loads a model document (dense, conv or graph) and resolves
+// a fault distribution against it, clamping each entry to its layer
+// width (the CLI convention; the service rejects instead).
+func loadQuery(path, faultsArg string) (query, error) {
+	m, err := cliutil.LoadModel(path)
+	if err != nil {
+		return query{}, err
+	}
+	newPricer, err := core.PricerFor(m)
+	if err != nil {
+		return query{}, err
+	}
+	s := core.ShapeOfModel(m)
+	faults, err := cliutil.ParseFaults(faultsArg, m.NumLayers())
+	if err != nil {
+		return query{}, err
+	}
+	cliutil.ClampFaults(faults, s.Widths)
+	return query{m: m, shape: s, pricer: newPricer(), faults: faults}, nil
+}
+
+// paramFlags registers the fault-model parameter flags shared by inject
+// and worstcase, defaulting to fault.DefaultParams, and returns the
+// parameters they fill.
+func paramFlags(fs *flag.FlagSet) *fault.Params {
+	p := fault.DefaultParams
+	fs.Float64Var(&p.C, "c", p.C, "capacity for byzantine/noise models")
+	fs.Float64Var(&p.Value, "value", p.Value, "latched output for the stuck model")
+	fs.IntVar(&p.Bits, "bits", p.Bits, "code width for the bitflip model")
+	fs.IntVar(&p.Bit, "bit", p.Bit, "flipped bit for the bitflip model (bits-1 = sign)")
+	return &p
+}
+
+// lookupModel resolves a fault-model name, listing the registry when it
+// is unknown.
+func lookupModel(name string) (fault.Model, error) {
+	model, ok := fault.Lookup(name)
+	if !ok {
+		return model, fmt.Errorf("unknown fault model %q; registered models: %s",
+			name, strings.Join(fault.ModelNames(), ", "))
+	}
+	return model, nil
+}
+
 func cmdBounds(args []string) error {
 	fs := flag.NewFlagSet("bounds", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer (uniform or comma-separated)")
-	c := fs.Float64("c", 1, "synaptic capacity / deviation bound C")
+	c := fs.Float64("c", fault.DefaultParams.C, "synaptic capacity / deviation bound C")
 	eps := fs.Float64("eps", 0, "required accuracy ε (0 = skip tolerance check)")
 	epsPrime := fs.Float64("epsprime", 0, "achieved accuracy ε'")
 	fs.Parse(args)
 
-	net, err := cliutil.LoadNetwork(*netPath)
+	if *c < 0 {
+		return fmt.Errorf("c is negative")
+	}
+	q, err := loadQuery(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-	fmt.Printf("network: L=%d widths=%v K=%g w_m=%v\n", s.Layers(), s.Widths, s.K, s.MaxW)
+	s, p, faults := q.shape, q.pricer, q.faults
+	fmt.Printf("model:   %s L=%d widths=%v K=%g w_m=%v\n", conv.ArchOf(q.m), s.Layers(), s.Widths, s.K, s.MaxW)
 	fmt.Printf("faults:  %v\n", faults)
-	fmt.Printf("Fep (Byzantine, C=%g):  %.6f\n", *c, core.Fep(s, faults, *c))
-	fmt.Printf("Fep (crash):            %.6f\n", core.CrashFep(s, faults))
-	synFaults := append(append([]int{}, faults...), 0)
-	fmt.Printf("SynapseFep (C=%g):      %.6f\n", *c, core.SynapseFep(s, synFaults, *c))
+	fmt.Printf("Fep (Byzantine, C=%g):  %.6f\n", *c, p.Fep(faults, *c))
+	fmt.Printf("Fep (crash):            %.6f\n", p.CrashFep(faults))
+	syn := core.SynapseFaults(p, make([]int, len(faults)+1), faults)
+	fmt.Printf("SynapseFep (C=%g):      %.6f\n", *c, p.SynapseFep(syn, *c))
 	if *eps > 0 {
-		fmt.Printf("tolerated (Byzantine):  %v\n", core.Tolerates(s, faults, *c, *eps, *epsPrime))
-		fmt.Printf("tolerated (crash):      %v\n", core.CrashTolerates(s, faults, *eps, *epsPrime))
-		fmt.Printf("required signals/layer: %v (Corollary 2)\n", core.RequiredSignals(s, faults))
+		fmt.Printf("tolerated (Byzantine):  %v\n", p.Tolerates(faults, *c, *eps, *epsPrime))
+		fmt.Printf("tolerated (crash):      %v\n", p.CrashTolerates(faults, *eps, *epsPrime))
+		fmt.Printf("required signals/layer: %v (Corollary 2)\n", p.RequiredSignals(faults))
+	}
+
+	// Compositional certification: certify the spans either side of
+	// every admissible interior cut independently and stitch them. The
+	// stitched bound is sound but generally looser than the monolithic
+	// per-node bound — the gap is the price of modular certification.
+	// Skip connections remove the cuts they jump over.
+	L := q.m.NumLayers()
+	for _, cut := range core.Cuts(q.m) {
+		if cut >= L {
+			continue
+		}
+		a, err := core.CertifySpan(q.m, 1, cut, faults[:cut], *c)
+		if err != nil {
+			return err
+		}
+		b, err := core.CertifySpan(q.m, cut+1, L+1, faults[cut:], *c)
+		if err != nil {
+			return err
+		}
+		st, err := core.Compose(a, b)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("stitched Fep (cut after level %d): %.6f\n", cut, st.Fep[0])
 	}
 	return nil
 }
 
 func cmdInject(args []string) error {
 	fs := flag.NewFlagSet("inject", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
-	faultsArg := fs.String("faults", "1", "faults per layer")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
+	faultsArg := fs.String("faults", "1", "neuron faults per layer (ignored with -kernels)")
+	kernels := fs.Int("kernels", 0, "conv models: instead fail the K largest shared kernel values per layer")
 	mode := fs.String("mode", "crash", "fault model name (see 'neurofail models')")
-	c := fs.Float64("c", 1, "capacity for byzantine/noise models")
-	value := fs.Float64("value", 0.8, "latched output for the stuck model")
-	prob := fs.Float64("prob", 0.5, "failure probability for the intermittent model")
-	bits := fs.Int("bits", 8, "code width for the bitflip model")
-	bit := fs.Int("bit", 7, "flipped bit for the bitflip model (bits-1 = sign)")
+	params := paramFlags(fs)
+	fs.Float64Var(&params.Prob, "prob", params.Prob, "failure probability for the intermittent model")
 	adversarial := fs.Bool("adversarial", true, "target heaviest weights (false = random)")
-	seed := fs.Uint64("seed", 7, "seed for random plans and stochastic models")
+	seed := fs.Uint64("seed", fault.DefaultSeed, "seed for random plans and stochastic models")
 	fs.Parse(args)
 
-	model, ok := fault.Lookup(*mode)
-	if !ok {
-		return fmt.Errorf("unknown fault model %q; registered models: %s",
-			*mode, strings.Join(fault.ModelNames(), ", "))
-	}
-	net, err := cliutil.LoadNetwork(*netPath)
+	model, err := lookupModel(*mode)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
+	q, err := loadQuery(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	cliutil.ClampFaults(faults, s.Widths)
+	if params.C < 0 {
+		return fmt.Errorf("c is negative")
+	}
+	p := params.Seeded(q.m, *seed)
+	inj, err := model.New(p)
+	if err != nil {
+		return err
+	}
 	var plan fault.Plan
-	if *adversarial {
-		plan = fault.AdversarialNeuronPlan(net, faults)
-	} else {
-		plan = fault.RandomNeuronPlan(rng.New(*seed), net, faults)
+	var dev, bound float64
+	switch {
+	case *kernels > 0:
+		if plan, err = kernelPlan(q.m, *kernels); err != nil {
+			return err
+		}
+		// A shared-weight fault is a fault on every tied synapse
+		// instance: the certificate is SynapseFep over the instance
+		// counts, with the model's per-synapse deviation cap.
+		dev = model.SynapseDeviation(p, q.shape)
+		bound = q.pricer.SynapseFep(plan.PerLayerSynapses(q.m.NumLayers()), dev)
+	case *adversarial:
+		plan = fault.AdversarialNeuronPlan(q.m, q.faults)
+	default:
+		plan = fault.RandomNeuronPlan(rng.New(*seed), q.m, q.faults)
 	}
-	params := fault.Params{
-		C:     *c,
-		Sem:   core.DeviationCap,
-		Value: *value,
-		Prob:  *prob,
-		Bits:  *bits,
-		Bit:   *bit,
-		Net:   net,
-		R:     rng.New(*seed ^ 0xfa0175),
+	if *kernels <= 0 {
+		dev = model.NeuronDeviation(p, q.shape)
+		bound = q.pricer.Fep(q.faults, dev)
 	}
-	inj, err := model.New(params)
-	if err != nil {
-		return err
-	}
-	inputs := evalInputs(net.InputDim)
+	inputs := metrics.StandardInputs(q.m.Width(0))
 	var measured float64
 	if model.Deterministic {
-		measured = fault.MaxError(net, plan, inj, inputs)
+		measured = fault.MaxError(q.m, plan, inj, inputs)
 	} else {
-		measured = fault.MaxErrorSeq(net, plan, inj, inputs)
+		measured = fault.MaxErrorSeq(q.m, plan, inj, inputs)
 	}
-	dev := model.NeuronDeviation(params, s)
-	bound := core.Fep(s, faults, dev)
-	fmt.Printf("plan: %d neuron failures (%s)\n", len(plan.Neurons), model.Name)
+	fmt.Printf("plan: %d neuron + %d synapse failures on a %s model (%s)\n",
+		len(plan.Neurons), len(plan.Synapses), conv.ArchOf(q.m), model.Name)
 	fmt.Printf("model: %s\n", model.Description)
-	fmt.Printf("per-neuron deviation cap:                   %.6f\n", dev)
+	fmt.Printf("per-fault deviation cap:                    %.6f\n", dev)
 	fmt.Printf("measured max |Fneu - Ffail| over %d inputs: %.6f\n", len(inputs), measured)
 	fmt.Printf("Fep bound:                                  %.6f\n", bound)
 	if bound > 0 {
@@ -469,7 +545,7 @@ func cmdQuantize(args []string) error {
 	if err != nil {
 		return err
 	}
-	inputs := evalInputs(net.InputDim)
+	inputs := metrics.StandardInputs(net.InputDim)
 	fmt.Printf("weights: %d bits (memory %.1fx smaller than float64)\n",
 		*bits, float64(quant.FullPrecisionBits(net))/float64(q.MemoryBits()))
 	fmt.Printf("measured accuracy loss: %.6f\n", q.MeasuredError(inputs))
@@ -528,34 +604,41 @@ func cmdBoost(args []string) error {
 	return nil
 }
 
+// cmdMonteCarlo profiles random failure configurations. Trial t draws
+// from its own stream (fault.MonteCarloRange), so the profile equals
+// /v1/montecarlo's for the same model, faults, c, trials and seed.
 func cmdMonteCarlo(args []string) error {
 	fs := flag.NewFlagSet("montecarlo", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer")
 	c := fs.Float64("c", 0, "byzantine capacity (0 = crash failures)")
 	trials := fs.Int("trials", 500, "random configurations to sample")
 	seed := fs.Uint64("seed", 9, "seed")
 	fs.Parse(args)
 
-	net, err := cliutil.LoadNetwork(*netPath)
+	if *c < 0 {
+		return fmt.Errorf("c is negative")
+	}
+	if *trials < 1 {
+		return fmt.Errorf("trials %d: need at least one", *trials)
+	}
+	q, err := loadQuery(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
-	if err != nil {
-		return err
-	}
-	cliutil.ClampFaults(faults, s.Widths)
-	inputs := evalInputs(net.InputDim)
-	prof := fault.MonteCarlo(net, faults, *c, core.DeviationCap, inputs, *trials, rng.New(*seed))
+	traces := fault.CleanTraces(q.m, metrics.StandardInputs(q.m.Width(0)))
+	errs := make([]float64, *trials)
+	parallel.ForChunked(len(errs), fault.BatchLanes, func(lo, hi int) {
+		fault.MonteCarloRange(q.m, q.faults, *c, core.DeviationCap, traces, *seed, lo, errs[lo:hi])
+	})
+	prof := fault.ProfileOf(errs)
 	var bound float64
 	if *c == 0 {
-		bound = core.CrashFep(s, faults)
+		bound = q.pricer.CrashFep(q.faults)
 	} else {
-		bound = core.Fep(s, faults, *c)
+		bound = q.pricer.Fep(q.faults, *c)
 	}
-	fmt.Printf("random failure profile over %d configurations (faults %v):\n", prof.Trials, faults)
+	fmt.Printf("random failure profile over %d configurations (faults %v):\n", prof.Trials, q.faults)
 	fmt.Printf("  mean %.5f  median %.5f  q90 %.5f  q99 %.5f  max %.5f\n",
 		prof.Stats.Mean, prof.Stats.Median, prof.Q90, prof.Q99, prof.Stats.Max)
 	fmt.Printf("  worst-case Fep bound: %.5f (max reaches %.1f%% of it)\n",
@@ -568,44 +651,36 @@ func cmdMonteCarlo(args []string) error {
 // sharing and bound-guided pruning, against the Fep certificate.
 func cmdWorstCase(args []string) error {
 	fs := flag.NewFlagSet("worstcase", flag.ExitOnError)
-	netPath := fs.String("net", "net.json", "network file")
+	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer")
 	mode := fs.String("mode", "crash", "deterministic fault model name (see 'neurofail models')")
-	c := fs.Float64("c", 1, "capacity for byzantine-style models")
-	value := fs.Float64("value", 0.8, "latched output for the stuck model")
-	bits := fs.Int("bits", 8, "code width for the bitflip model")
-	bit := fs.Int("bit", 7, "flipped bit for the bitflip model (bits-1 = sign)")
+	params := paramFlags(fs)
 	maxConfigs := fs.Int64("max", 2_000_000, "refuse sweeps with more configurations")
 	noPrune := fs.Bool("noprune", false, "disable bound-guided pruning (visit everything)")
 	fs.Parse(args)
 
-	model, ok := fault.Lookup(*mode)
-	if !ok {
-		return fmt.Errorf("unknown fault model %q; registered models: %s",
-			*mode, strings.Join(fault.ModelNames(), ", "))
+	model, err := lookupModel(*mode)
+	if err != nil {
+		return err
 	}
 	if !model.Deterministic {
 		return fmt.Errorf("fault model %q is stochastic; exhaustive search needs a deterministic model — use 'neurofail montecarlo' instead", model.Name)
 	}
-	net, err := cliutil.LoadNetwork(*netPath)
+	q, err := loadQuery(*netPath, *faultsArg)
 	if err != nil {
 		return err
 	}
-	s := core.ShapeOf(net)
-	faults, err := cliutil.ParseFaults(*faultsArg, net.Layers())
+	if params.C < 0 {
+		return fmt.Errorf("c is negative")
+	}
+	p := *params
+	p.Net = q.m
+	inj, err := model.New(p)
 	if err != nil {
 		return err
 	}
-	cliutil.ClampFaults(faults, s.Widths)
-	params := fault.Params{
-		C: *c, Sem: core.DeviationCap, Value: *value, Bits: *bits, Bit: *bit, Net: net,
-	}
-	inj, err := model.New(params)
-	if err != nil {
-		return err
-	}
-	inputs := evalInputs(net.InputDim)
-	eng, err := fault.NewWorstCase(net, faults, inputs, fault.WorstCaseOptions{
+	inputs := metrics.StandardInputs(q.m.Width(0))
+	eng, err := fault.NewWorstCase(q.m, q.faults, inputs, fault.WorstCaseOptions{
 		Injector: inj, Prune: !*noPrune, MaxConfigs: *maxConfigs,
 	})
 	if err != nil {
@@ -615,10 +690,10 @@ func cmdWorstCase(args []string) error {
 	if err != nil {
 		return err
 	}
-	dev := model.NeuronDeviation(params, s)
-	bound := core.Fep(s, faults, dev)
+	dev := model.NeuronDeviation(p, q.shape)
+	bound := q.pricer.Fep(q.faults, dev)
 	fmt.Printf("exhaustive %s sweep: %d configurations over %d inputs (faults %v)\n",
-		model.Name, res.Configurations, len(inputs), faults)
+		model.Name, res.Configurations, len(inputs), q.faults)
 	fmt.Printf("  visited %d, pruned %d (%.1f%%)\n", res.Visited, res.Pruned,
 		100*float64(res.Pruned)/math.Max(float64(res.Configurations), 1))
 	fmt.Printf("  worst error: %.6f at plan %v\n", res.WorstError, res.WorstPlan.Neurons)

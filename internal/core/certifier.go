@@ -28,12 +28,17 @@ func NewCertifier(s Shape) (*Certifier, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return newCertifier(s), nil
+}
+
+// newCertifier builds a Certifier for a shape already validated.
+func newCertifier(s Shape) *Certifier {
 	L := s.Layers()
 	return &Certifier{
 		s:       s,
 		suffix:  make([]float64, L+3),
 		signals: make([]int, L),
-	}, nil
+	}
 }
 
 // Shape returns the shape the certifier was built for.

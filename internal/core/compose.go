@@ -131,6 +131,7 @@ func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, e
 		}
 	}
 	k := m.Activation().Lipschitz()
+	dag := nn.AsDAG(m)
 	in := m.Width(lo - 1)
 	outW := m.Width(hi)
 	// Forward gain sweep: gain[v][j][i] bounds node (v, j)'s sensitivity
@@ -147,9 +148,9 @@ func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, e
 		gain[t] = make([][]float64, wt)
 		for j := 0; j < wt; j++ {
 			row := make([]float64, in)
-			d := nn.FanInOf(m, t, j)
+			d := dag.FanIn(t, j)
 			for e := 0; e < d; e++ {
-				sl, si, w := nn.InEdgeOf(m, t, j, e)
+				sl, si, w := dag.InEdge(t, j, e)
 				if sl < lo-1 {
 					return SubnetCert{}, fmt.Errorf("core: CertifySpan: edge into level %d from level %d crosses the cut at %d", t, sl, lo-1)
 				}
@@ -195,9 +196,9 @@ func CertifySpan(m nn.Model, lo, hi int, faults []int, c float64) (SubnetCert, e
 				if g == 0 {
 					continue
 				}
-				d := nn.FanInOf(m, t, j)
+				d := dag.FanIn(t, j)
 				for e := 0; e < d; e++ {
-					sl, si, w := nn.InEdgeOf(m, t, j, e)
+					sl, si, w := dag.InEdge(t, j, e)
 					if sl >= lo {
 						amp[sl][si] += math.Abs(w) * g
 					}
@@ -231,11 +232,12 @@ func Cuts(m nn.Model) []int {
 	// crossing[v] counts edges (sl -> t) with sl < v < t, built as a
 	// difference array over the cut positions each edge invalidates.
 	diff := make([]int, L+2)
+	dag := nn.AsDAG(m)
 	for t := 1; t <= L+1; t++ {
 		for j := 0; j < m.Width(t); j++ {
-			d := nn.FanInOf(m, t, j)
+			d := dag.FanIn(t, j)
 			for e := 0; e < d; e++ {
-				sl, _, _ := nn.InEdgeOf(m, t, j, e)
+				sl, _, _ := dag.InEdge(t, j, e)
 				if sl+1 <= t-1 {
 					diff[sl+1]++
 					diff[t]--

@@ -137,7 +137,9 @@ func (g ClippedNoise) SynapseDelta(SynapseFault, float64) float64 { return g.dra
 // Deterministic and safe for concurrent use. Construct via the registry
 // ("bitflip", Params{Net, Bits, Bit}) or quant.BitFlipInjector.
 type BitFlip struct {
-	net    nn.Model
+	// dag is Net's DAG view, built once so weight lookups stay
+	// allocation-free.
+	dag    nn.DAGModel
 	bits   int
 	bit    int
 	actCap float64
@@ -167,7 +169,7 @@ func NewBitFlip(n nn.Model, bits, bit int) (BitFlip, error) {
 	}
 	act := n.Activation()
 	actCap := math.Max(math.Abs(act.Min()), math.Abs(act.Max()))
-	return BitFlip{net: n, bits: bits, bit: bit, actCap: actCap, steps: steps}, nil
+	return BitFlip{dag: nn.AsDAG(n), bits: bits, bit: bit, actCap: actCap, steps: steps}, nil
 }
 
 // flip encodes v on the sign-magnitude grid with step q, flips the
@@ -199,9 +201,10 @@ func (b BitFlip) NeuronValue(_ NeuronFault, nominal float64) float64 {
 
 // weightAt looks the faulty synapse's weight up in the model. The
 // fault's From field is a sender index on layered models and an in-edge
-// ordinal on DAG models; nn.InEdgeOf resolves either form.
+// ordinal on DAG models; the model's DAG view resolves either form (a
+// layered model's in-edge k is its synapse from sender k).
 func (b BitFlip) weightAt(f SynapseFault) float64 {
-	_, _, w := nn.InEdgeOf(b.net, f.Layer, f.To, f.From)
+	_, _, w := b.dag.InEdge(f.Layer, f.To, f.From)
 	return w
 }
 

@@ -43,6 +43,26 @@ type Params struct {
 	R *rng.Rand
 }
 
+// DefaultParams holds the parameter defaults every front end applies
+// to a field a query leaves unset: the CLI's flag defaults and the
+// service's request defaults both read it, so one question gets one
+// answer from either.
+var DefaultParams = Params{C: 1, Sem: core.DeviationCap, Value: 0.8, Prob: 0.5, Bits: 8, Bit: 7}
+
+// DefaultSeed seeds random plans and stochastic injectors when a query
+// names no seed.
+const DefaultSeed uint64 = 7
+
+// Seeded returns p bound to the model net, with stochastic injectors
+// drawing from the stream seed derives for them — a different stream
+// from rng.New(seed), which a random plan for the same query draws
+// from.
+func (p Params) Seeded(net nn.Model, seed uint64) Params {
+	p.Net = net
+	p.R = rng.New(seed ^ 0xfa0175)
+	return p
+}
+
 // Model is one named entry of the fault-model registry: a factory for
 // Injectors together with the worst-case deviation caps that plug the
 // model into the paper's analysis. Theorems 2-4 are parameterised only

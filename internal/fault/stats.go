@@ -25,33 +25,62 @@ type Profile struct {
 // MonteCarlo samples random failure configurations of the given per-layer
 // distribution, each with random bounded Byzantine values (or crashes
 // when c == 0), measures the max error over the inputs for each, and
-// returns the empirical profile.
+// returns the empirical profile. Every trial draws from the one
+// sequential stream r, in trial order; MonteCarloRange is the variant
+// whose trials draw from their own streams.
 //
 // Trials run through the batched multi-lane engine, BatchLanes
-// configurations per sweep; each trial's plan and rng stream are drawn
-// in trial order and each lane replays the scalar evaluation exactly,
-// so the profile is bit-identical to evaluating trials one at a time.
+// configurations per sweep, and each lane replays the scalar
+// evaluation exactly, so the profile is bit-identical to evaluating
+// trials one at a time.
 func MonteCarlo(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, inputs [][]float64, trials int, r *rng.Rand) Profile {
-	// One clean sweep per input serves every sampled configuration; each
-	// group of trials then costs one multi-lane damaged sweep per input.
-	traces := CleanTraces(n, inputs)
-	bp := CompileBatch(n, BatchLanes)
 	errs := make([]float64, trials)
+	sweepTrials(n, CleanTraces(n, inputs), errs, func(int) (Plan, Injector) {
+		return randomTrial(r, n, perLayer, c, sem)
+	})
+	return ProfileOf(errs)
+}
+
+// MonteCarloRange computes the worst errors of Monte Carlo trials
+// [base, base+len(errs)) into errs, where trial t draws its plan and
+// values from its own splittable stream rng.NewStream(seed, t). A
+// trial's error therefore depends only on (seed, t): splitting a
+// campaign into ranges — across workers, or across a checkpoint and
+// its resume — changes who runs a trial, never what it samples, and
+// the ranges together reproduce one full sweep bit for bit. traces are
+// the inputs' clean traces (CleanTraces); they are only read, so
+// concurrent calls may share them.
+func MonteCarloRange(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, traces []*nn.Trace, seed uint64, base int, errs []float64) {
+	sweepTrials(n, traces, errs, func(i int) (Plan, Injector) {
+		return randomTrial(rng.NewStream(seed, uint64(base+i)), n, perLayer, c, sem)
+	})
+}
+
+// randomTrial draws one Monte Carlo trial from r: a random plan with
+// the distribution perLayer, then crashes (c == 0) or random bounded
+// Byzantine values drawn from a split of r.
+func randomTrial(r *rng.Rand, n nn.Model, perLayer []int, c float64, sem core.CapSemantics) (Plan, Injector) {
+	plan := RandomNeuronPlan(r, n, perLayer)
+	if c == 0 {
+		return plan, Crash{}
+	}
+	return plan, RandomByzantine{C: c, Sem: sem, R: r.Split()}
+}
+
+// sweepTrials is the Monte Carlo lane loop: it sets errs[i] to trial
+// i's largest error over the clean traces, loading BatchLanes trials at
+// a time into one batched evaluator so each weight matrix streams once
+// per group of trials. draw(i) supplies trial i's plan and injector and
+// is called in trial order.
+func sweepTrials(n nn.Model, traces []*nn.Trace, errs []float64, draw func(i int) (Plan, Injector)) {
+	bp := CompileBatch(n, BatchLanes)
 	var plans [BatchLanes]Plan
 	var injs [BatchLanes]Injector
 	var laneErr, laneWorst [BatchLanes]float64
-	for t := 0; t < trials; t += BatchLanes {
-		lanes := BatchLanes
-		if rem := trials - t; rem < lanes {
-			lanes = rem
-		}
+	for i := 0; i < len(errs); i += BatchLanes {
+		lanes := min(BatchLanes, len(errs)-i)
 		for p := 0; p < lanes; p++ {
-			plans[p] = RandomNeuronPlan(r, n, perLayer)
-			if c == 0 {
-				injs[p] = Crash{}
-			} else {
-				injs[p] = RandomByzantine{C: c, Sem: sem, R: r.Split()}
-			}
+			plans[p], injs[p] = draw(i + p)
 			laneWorst[p] = 0
 		}
 		bp.Reset(plans[:lanes])
@@ -63,14 +92,13 @@ func MonteCarlo(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, in
 				}
 			}
 		}
-		copy(errs[t:t+lanes], laneWorst[:lanes])
+		copy(errs[i:i+lanes], laneWorst[:lanes])
 	}
-	return ProfileOf(errs)
 }
 
 // ProfileOf summarises per-trial max errors into a Profile — the shared
-// tail of MonteCarlo and of executors that produce the per-trial errors
-// themselves (e.g. a sharded parallel sweep).
+// tail of MonteCarlo and of executors that collect MonteCarloRange
+// shards themselves.
 func ProfileOf(errs []float64) Profile {
 	sorted := append([]float64(nil), errs...)
 	sort.Float64s(sorted)

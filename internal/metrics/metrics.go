@@ -59,6 +59,17 @@ func RandomPoints(r *rng.Rand, d, n int) [][]float64 {
 	return pts
 }
 
+// StandardInputs returns the standard evaluation sample of [0,1]^d
+// that the CLI and the query service measure damaged models on: a
+// 41-point-per-axis grid for d <= 2, and beyond that 500 uniform points
+// from the fixed seed 12345.
+func StandardInputs(d int) [][]float64 {
+	if d <= 2 {
+		return Grid(d, 41)
+	}
+	return RandomPoints(rng.New(12345), d, 500)
+}
+
 // Stats summarises a sample.
 type Stats struct {
 	N         int

@@ -105,25 +105,6 @@ func IsLayered(m Model) bool {
 	return true
 }
 
-// FanInOf returns the in-degree of neuron `to` of layer l for any
-// Model: DAG models answer exactly; layered models have full fan-in
-// Width(l-1).
-func FanInOf(m Model, l, to int) int {
-	if dm, ok := m.(DAGModel); ok {
-		return dm.FanIn(l, to)
-	}
-	return m.Width(l - 1)
-}
-
-// InEdgeOf returns the k-th in-edge of neuron `to` of layer l for any
-// Model: layered models map ordinal k to source (l-1, k).
-func InEdgeOf(m Model, l, to, k int) (srcLevel, srcIdx int, w float64) {
-	if dm, ok := m.(DAGModel); ok {
-		return dm.InEdge(l, to, k)
-	}
-	return l - 1, k, m.Weight(l, to, k)
-}
-
 // ensureLevels sizes sc.levels for L+1 level pointers (grow-only).
 func (sc *Scratch) ensureLevels(L int) [][]float64 {
 	if cap(sc.levels) < L+1 {

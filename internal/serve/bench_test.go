@@ -40,9 +40,7 @@ func boundsCompute(cn *cachedNet, faults []int, c float64) float64 {
 	bs := cn.getBounds()
 	fep := bs.cert.Fep(faults, c)
 	fep += bs.cert.CrashFep(faults)
-	copy(bs.synFaults, faults)
-	bs.synFaults[len(bs.synFaults)-1] = 0
-	fep += bs.cert.SynapseFep(bs.synFaults, c)
+	fep += bs.cert.SynapseFep(core.SynapseFaults(bs.cert, bs.synFaults, faults), c)
 	cn.putBounds(bs)
 	return fep
 }

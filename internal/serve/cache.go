@@ -11,31 +11,24 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/rng"
 	"repro/internal/store"
 )
 
-// cachedNet is the per-model serving state: the immutable model (dense
-// or convolutional — each stored artifact gets its own entry keyed by
-// content address, so architectures never collide), its shape, pooled
-// certifier scratch, compiled adversarial fault plans, and the clean
-// traces of the standard evaluation inputs. All of it is computed at
-// most once per model and shared by every request — steady-state
-// queries hit only caches.
+// cachedNet is the per-model serving state: the immutable model (dense,
+// convolutional or graph — each stored artifact gets its own entry
+// keyed by content address, so architectures never collide), its
+// shape, pooled certificate pricers, compiled adversarial fault plans,
+// and the clean traces of the standard evaluation inputs. All of it is
+// computed at most once per model and shared by every request —
+// steady-state queries hit only caches.
 type cachedNet struct {
 	id    string // store ID; "" for inline (unstored) models
 	model nn.Model
 
 	shape core.Shape
-	// node prices certificates for arbitrary-topology models: the
-	// layered Certifier algebra assumes every edge spans exactly one
-	// level and is unsound under skip connections, so non-layered
-	// models route every Fep query through the per-node shape instead.
-	// nil for layered models.
-	node *core.NodeShape
-	// certs pools bounds scratch: Certifiers are not concurrent-safe,
-	// so each request borrows one. (A NodeShape is immutable and
-	// concurrent-safe; non-layered scratch shares it.)
+	// certs pools bounds scratch around the pricers core.PricerFor
+	// makes for the model: a Certifier is not concurrent-safe, so each
+	// request borrows a unit.
 	certs sync.Pool
 
 	// inputsOnce guards the standard evaluation inputs and their clean
@@ -55,7 +48,11 @@ func newCachedNet(id string, m nn.Model) (*cachedNet, error) {
 	// models get their Section VI receptive-field bounds with no dense
 	// lowering anywhere in the service.
 	shape := core.ShapeOfModel(m)
-	if _, err := core.NewCertifier(shape); err != nil {
+	if err := shape.Validate(); err != nil {
+		return nil, err
+	}
+	newPricer, err := core.PricerFor(m)
+	if err != nil {
 		return nil, err
 	}
 	cn := &cachedNet{
@@ -64,68 +61,29 @@ func newCachedNet(id string, m nn.Model) (*cachedNet, error) {
 		shape: shape,
 		plans: map[string]*fault.CompiledPlan{},
 	}
-	if !nn.IsLayered(m) {
-		ns, err := core.NodeShapeOf(m)
-		if err != nil {
-			return nil, err
-		}
-		cn.node = ns
-	}
 	cn.certs.New = func() any {
-		bs := &boundsScratch{synFaults: make([]int, shape.Layers()+1)}
-		if cn.node != nil {
-			// Shared by every pooled unit: NodeShape is read-only after
-			// construction.
-			bs.cert = cn.node
-			return bs
-		}
-		c, err := core.NewCertifier(shape)
-		if err != nil {
-			// Validated above; a failure here is a programming error.
-			panic(err)
-		}
-		bs.cert = c
-		return bs
+		return &boundsScratch{cert: newPricer(), synFaults: make([]int, shape.Layers()+1)}
 	}
 	return cn, nil
-}
-
-// certPricer is the certificate query surface shared by the layered
-// core.Certifier and the arbitrary-topology core.NodeShape; every
-// bounds-path computation prices through it so the handlers never care
-// which algebra backs a model.
-type certPricer interface {
-	Fep(faults []int, c float64) float64
-	CrashFep(faults []int) float64
-	SynapseFep(faults []int, c float64) float64
-	Tolerates(faults []int, c, eps, epsPrime float64) bool
-	CrashTolerates(faults []int, eps, epsPrime float64) bool
-	RequiredSignals(faults []int) []int
 }
 
 // boundsScratch is one pooled unit of bounds-path scratch: a pricer
 // plus the synapse-distribution buffer, so a steady-state bounds query
 // performs zero allocations in the certificate computation.
 type boundsScratch struct {
-	cert      certPricer
+	cert      core.Pricer
 	synFaults []int
 }
 
 func (cn *cachedNet) getBounds() *boundsScratch  { return cn.certs.Get().(*boundsScratch) }
 func (cn *cachedNet) putBounds(b *boundsScratch) { cn.certs.Put(b) }
 
-// standardInputs returns the network's standard evaluation sample and
-// its clean traces, computing both on first use: a grid for input
-// dimension <= 2, deterministic random points beyond (matching the CLI
-// and experiment conventions).
+// standardInputs returns the network's standard evaluation sample
+// (metrics.StandardInputs) and its clean traces, computing both on
+// first use.
 func (cn *cachedNet) standardInputs() ([][]float64, []*nn.Trace) {
 	cn.inputsOnce.Do(func() {
-		d := cn.model.Width(0)
-		if d <= 2 {
-			cn.inputs = metrics.Grid(d, 41)
-		} else {
-			cn.inputs = metrics.RandomPoints(rng.New(12345), d, 500)
-		}
+		cn.inputs = metrics.StandardInputs(cn.model.Width(0))
 		cn.traces = fault.CleanTraces(cn.model, cn.inputs)
 	})
 	return cn.inputs, cn.traces

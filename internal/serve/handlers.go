@@ -225,11 +225,100 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// checkInputs rejects an input sample of the wrong dimension for cn.
+func checkInputs(cn *cachedNet, inputs [][]float64) error {
+	for i, x := range inputs {
+		if len(x) != cn.model.Width(0) {
+			return badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
+		}
+	}
+	return nil
+}
+
+// checkCap rejects a negative capacity at resolve time rather than
+// leaving it to the fault-model constructor: models that ignore C
+// (crash, stuck, ...) would otherwise carry the negative cap into the
+// Fep computation, which panics on it.
+func checkCap(c *float64) error {
+	if c != nil && *c < 0 {
+		return badRequest("c is negative")
+	}
+	return nil
+}
+
+// lookupModel resolves a fault-model name, "crash" when unset.
+func lookupModel(name string) (fault.Model, error) {
+	if name == "" {
+		name = "crash"
+	}
+	model, ok := fault.Lookup(name)
+	if !ok {
+		return model, badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
+			name, strings.Join(fault.ModelNames(), ", ")))
+	}
+	return model, nil
+}
+
+// faultParams fills a request's fault-model parameters, taking
+// fault.DefaultParams for every field left unset.
+func faultParams(c, value, prob *float64, bits, bit *int) fault.Params {
+	d := fault.DefaultParams
+	return fault.Params{
+		C:     orDefault(c, d.C),
+		Sem:   d.Sem,
+		Value: orDefault(value, d.Value),
+		Prob:  orDefault(prob, d.Prob),
+		Bits:  orDefaultInt(bits, d.Bits),
+		Bit:   orDefaultInt(bit, d.Bit),
+	}
+}
+
+func orDefault(p *float64, def float64) float64 {
+	if p != nil {
+		return *p
+	}
+	return def
+}
+
+func orDefaultInt(p *int, def int) int {
+	if p != nil {
+		return *p
+	}
+	return def
+}
+
+// Every query kind below has one resolver: it applies the kind's
+// defaults and runs every check its compute path relies on, and the
+// synchronous handler, the job tier's submit-time validation (which
+// hashes the resolved values into the memo key) and the job executor
+// all go through it — a request the route rejects is rejected at
+// submit, never accepted and failed later.
+
 // ---- POST /v1/eval ----
 
 type evalRequest struct {
 	netRef
 	Inputs [][]float64 `json:"inputs"`
+}
+
+// evalResolved is a validated eval request.
+type evalResolved struct {
+	cn     *cachedNet
+	inputs [][]float64
+}
+
+func (s *Server) resolveEval(req evalRequest) (evalResolved, error) {
+	cn, err := s.network(req.netRef)
+	if err != nil {
+		return evalResolved{}, err
+	}
+	if len(req.Inputs) == 0 {
+		return evalResolved{}, badRequest("inputs is empty")
+	}
+	if err := checkInputs(cn, req.Inputs); err != nil {
+		return evalResolved{}, err
+	}
+	return evalResolved{cn: cn, inputs: req.Inputs}, nil
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -238,35 +327,23 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	resp, err := s.computeEval(req)
+	ev, err := s.resolveEval(req)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, computeEval(ev))
 }
 
 // computeEval is the transport-free eval path, shared by the
 // synchronous handler and the async job tier.
-func (s *Server) computeEval(req evalRequest) (map[string]any, error) {
-	cn, err := s.network(req.netRef)
-	if err != nil {
-		return nil, err
-	}
-	if len(req.Inputs) == 0 {
-		return nil, badRequest("inputs is empty")
-	}
-	for i, x := range req.Inputs {
-		if len(x) != cn.model.Width(0) {
-			return nil, badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
-		}
-	}
-	outputs := nn.ForwardBatchModel(cn.model, req.Inputs)
+func computeEval(ev evalResolved) map[string]any {
+	outputs := nn.ForwardBatchModel(ev.cn.model, ev.inputs)
 	return map[string]any{
-		"network_id": cn.id,
+		"network_id": ev.cn.id,
 		"count":      len(outputs),
 		"outputs":    outputs,
-	}, nil
+	}
 }
 
 // ---- POST /v1/bounds ----
@@ -296,38 +373,48 @@ type boundsResponse struct {
 	RequiredSignals []int `json:"required_signals,omitempty"`
 }
 
+// boundsResolved is a validated bounds request.
+type boundsResolved struct {
+	cn            *cachedNet
+	faults        []int
+	c             float64
+	eps, epsPrime float64
+}
+
+func (s *Server) resolveBounds(req boundsRequest) (boundsResolved, error) {
+	cn, err := s.network(req.netRef)
+	if err != nil {
+		return boundsResolved{}, err
+	}
+	faults, err := req.Faults.resolve(cn.shape.Widths)
+	if err != nil {
+		return boundsResolved{}, err
+	}
+	if err := checkCap(req.C); err != nil {
+		return boundsResolved{}, err
+	}
+	return boundsResolved{cn: cn, faults: faults, c: orDefault(req.C, fault.DefaultParams.C),
+		eps: req.Eps, epsPrime: req.EpsPrime}, nil
+}
+
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
 	var req boundsRequest
 	if err := decode(r, &req); err != nil {
 		fail(w, err)
 		return
 	}
-	resp, err := s.computeBounds(req)
+	br, err := s.resolveBounds(req)
 	if err != nil {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, computeBounds(br))
 }
 
 // computeBounds is the transport-free bounds path, shared by the
 // synchronous handler and the async job tier.
-func (s *Server) computeBounds(req boundsRequest) (boundsResponse, error) {
-	cn, err := s.network(req.netRef)
-	if err != nil {
-		return boundsResponse{}, err
-	}
-	faults, err := req.Faults.resolve(cn.shape.Widths)
-	if err != nil {
-		return boundsResponse{}, err
-	}
-	c := 1.0
-	if req.C != nil {
-		c = *req.C
-	}
-	if c < 0 {
-		return boundsResponse{}, badRequest("c is negative")
-	}
+func computeBounds(br boundsResolved) boundsResponse {
+	cn, faults, c := br.cn, br.faults, br.c
 	// The certificate computations run on pooled per-network scratch:
 	// zero allocations in the steady state (see BenchmarkBoundsCompute).
 	b := cn.getBounds()
@@ -341,29 +428,17 @@ func (s *Server) computeBounds(req boundsRequest) (boundsResponse, error) {
 		C:          c,
 		Fep:        b.cert.Fep(faults, c),
 		CrashFep:   b.cert.CrashFep(faults),
+		SynapseFep: b.cert.SynapseFep(core.SynapseFaults(b.cert, b.synFaults, faults), c),
 	}
-	copy(b.synFaults, faults)
-	b.synFaults[len(b.synFaults)-1] = 0
-	if cn.node != nil {
-		// A sparse level can have fewer in-edges than nodes; cap the
-		// derived synapse distribution at the edges that exist (beyond
-		// that every edge into the level is already faulty).
-		for l := range b.synFaults {
-			if n := cn.node.SynapseCount(l + 1); b.synFaults[l] > n {
-				b.synFaults[l] = n
-			}
-		}
-	}
-	resp.SynapseFep = b.cert.SynapseFep(b.synFaults, c)
-	if req.Eps > 0 {
-		tol := b.cert.Tolerates(faults, c, req.Eps, req.EpsPrime)
-		crashTol := b.cert.CrashTolerates(faults, req.Eps, req.EpsPrime)
+	if br.eps > 0 {
+		tol := b.cert.Tolerates(faults, c, br.eps, br.epsPrime)
+		crashTol := b.cert.CrashTolerates(faults, br.eps, br.epsPrime)
 		resp.Tolerated = &tol
 		resp.CrashTolerated = &crashTol
 		resp.RequiredSignals = append([]int(nil), b.cert.RequiredSignals(faults)...)
 	}
 	cn.putBounds(b)
-	return resp, nil
+	return resp
 }
 
 // ---- POST /v1/inject ----
@@ -381,13 +456,61 @@ type injectRequest struct {
 	Bit         *int      `json:"bit,omitempty"`
 }
 
+// injectResolved is a validated inject request: defaults applied,
+// faults resolved against the layer widths, the injector built.
+type injectResolved struct {
+	cn          *cachedNet
+	model       fault.Model
+	faults      []int
+	adversarial bool
+	seed        uint64
+	params      fault.Params
+	inj         fault.Injector
+}
+
+func (s *Server) resolveInject(req injectRequest) (injectResolved, error) {
+	var ir injectResolved
+	model, err := lookupModel(req.Model)
+	if err != nil {
+		return ir, err
+	}
+	cn, err := s.network(req.netRef)
+	if err != nil {
+		return ir, err
+	}
+	faults, err := req.Faults.resolve(cn.shape.Widths)
+	if err != nil {
+		return ir, err
+	}
+	if err := checkCap(req.C); err != nil {
+		return ir, err
+	}
+	seed := req.Seed
+	if seed == 0 {
+		seed = fault.DefaultSeed
+	}
+	params := faultParams(req.C, req.Value, req.Prob, req.Bits, req.Bit).Seeded(cn.model, seed)
+	inj, err := model.New(params)
+	if err != nil {
+		return ir, badRequest(err.Error())
+	}
+	return injectResolved{cn: cn, model: model, faults: faults,
+		adversarial: req.Adversarial == nil || *req.Adversarial,
+		seed:        seed, params: params, inj: inj}, nil
+}
+
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 	var req injectRequest
 	if err := decode(r, &req); err != nil {
 		fail(w, err)
 		return
 	}
-	resp, err := s.computeInject(req)
+	ir, err := s.resolveInject(req)
+	if err != nil {
+		fail(w, err)
+		return
+	}
+	resp, err := computeInject(ir)
 	if err != nil {
 		fail(w, err)
 		return
@@ -397,54 +520,13 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 
 // computeInject is the transport-free inject path, shared by the
 // synchronous handler and the async job tier.
-func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
-	modelName := req.Model
-	if modelName == "" {
-		modelName = "crash"
-	}
-	model, ok := fault.Lookup(modelName)
-	if !ok {
-		return nil, badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
-			modelName, strings.Join(fault.ModelNames(), ", ")))
-	}
-	cn, err := s.network(req.netRef)
-	if err != nil {
-		return nil, err
-	}
-	faults, err := req.Faults.resolve(cn.shape.Widths)
-	if err != nil {
-		return nil, err
-	}
-	// Checked here, not left to the model constructor: models that
-	// ignore C (crash, stuck, ...) would otherwise carry the negative
-	// cap into the Fep computation, which panics on it.
-	if req.C != nil && *req.C < 0 {
-		return nil, badRequest("c is negative")
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 7
-	}
-	params := fault.Params{
-		C:     orDefault(req.C, 1),
-		Sem:   core.DeviationCap,
-		Value: orDefault(req.Value, 0.8),
-		Prob:  orDefault(req.Prob, 0.5),
-		Bits:  orDefaultInt(req.Bits, 8),
-		Bit:   orDefaultInt(req.Bit, 7),
-		Net:   cn.model,
-		R:     rng.New(seed ^ 0xfa0175),
-	}
-	inj, err := model.New(params)
-	if err != nil {
-		return nil, badRequest(err.Error())
-	}
-	adversarial := req.Adversarial == nil || *req.Adversarial
+func computeInject(ir injectResolved) (map[string]any, error) {
+	cn, model, faults, inj := ir.cn, ir.model, ir.faults, ir.inj
 	var cp *fault.CompiledPlan
-	if adversarial {
+	if ir.adversarial {
 		cp = cn.adversarialPlan(faults)
 	} else {
-		cp = fault.Compile(cn.model, fault.RandomNeuronPlan(rng.New(seed), cn.model, faults))
+		cp = fault.Compile(cn.model, fault.RandomNeuronPlan(rng.New(ir.seed), cn.model, faults))
 	}
 	inputs, traces := cn.standardInputs()
 	var measured float64
@@ -459,7 +541,7 @@ func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
 			}
 		}
 	}
-	dev := model.NeuronDeviation(params, cn.shape)
+	dev := model.NeuronDeviation(ir.params, cn.shape)
 	b := cn.getBounds()
 	bound := b.cert.Fep(faults, dev)
 	cn.putBounds(b)
@@ -467,7 +549,7 @@ func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
 		"network_id":    cn.id,
 		"model":         model.Name,
 		"deterministic": model.Deterministic,
-		"adversarial":   adversarial,
+		"adversarial":   ir.adversarial,
 		"faults":        faults,
 		"deviation_cap": dev,
 		"inputs":        len(inputs),
@@ -483,20 +565,6 @@ func (s *Server) computeInject(req injectRequest) (map[string]any, error) {
 			msg: fmt.Sprintf("bound violated: measured %g > bound %g", measured, bound)}
 	}
 	return resp, nil
-}
-
-func orDefault(p *float64, def float64) float64 {
-	if p != nil {
-		return *p
-	}
-	return def
-}
-
-func orDefaultInt(p *int, def int) int {
-	if p != nil {
-		return *p
-	}
-	return def
 }
 
 // ---- POST /v1/quantize ----
@@ -617,8 +685,8 @@ func (s *Server) resolveMonteCarlo(req monteCarloRequest) (mcResolved, error) {
 	if err != nil {
 		return mc, err
 	}
-	if req.C < 0 {
-		return mc, badRequest("c is negative")
+	if err := checkCap(&req.C); err != nil {
+		return mc, err
 	}
 	trials := req.Trials
 	if trials == 0 {
@@ -633,10 +701,8 @@ func (s *Server) resolveMonteCarlo(req monteCarloRequest) (mcResolved, error) {
 	}
 	var traces []*nn.Trace
 	if len(req.Inputs) > 0 {
-		for i, x := range req.Inputs {
-			if len(x) != cn.model.Width(0) {
-				return mc, badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
-			}
+		if err := checkInputs(cn, req.Inputs); err != nil {
+			return mc, err
 		}
 		traces = fault.CleanTraces(cn.model, req.Inputs)
 	} else {

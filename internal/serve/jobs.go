@@ -56,8 +56,9 @@ func netMemoKey(ref netRef, cn *cachedNet) string {
 	return store.ID(ref.Network)
 }
 
-// validateJob strictly decodes and resolves a job request at submit
-// time — garbage fails the submission with a client error instead of
+// validateJob strictly decodes a job request and runs the kind's
+// resolver at submit time — whatever the synchronous route would
+// reject fails the submission with the same client error instead of
 // failing the job later — and derives the memo key from the resolved
 // canonical form (defaults applied), so equivalent requests collide.
 func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
@@ -67,33 +68,22 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 		if err := strictUnmarshal(raw, &req); err != nil {
 			return "", badRequest(err.Error())
 		}
-		cn, err := s.network(req.netRef)
+		ev, err := s.resolveEval(req)
 		if err != nil {
 			return "", err
-		}
-		if len(req.Inputs) == 0 {
-			return "", badRequest("inputs is empty")
 		}
 		return memoKey(jobKindEval, struct {
 			Net    string      `json:"net"`
 			Inputs [][]float64 `json:"inputs"`
-		}{netMemoKey(req.netRef, cn), req.Inputs})
+		}{netMemoKey(req.netRef, ev.cn), ev.inputs})
 	case jobKindBounds:
 		var req boundsRequest
 		if err := strictUnmarshal(raw, &req); err != nil {
 			return "", badRequest(err.Error())
 		}
-		cn, err := s.network(req.netRef)
+		br, err := s.resolveBounds(req)
 		if err != nil {
 			return "", err
-		}
-		faults, err := req.Faults.resolve(cn.shape.Widths)
-		if err != nil {
-			return "", err
-		}
-		c := 1.0
-		if req.C != nil {
-			c = *req.C
 		}
 		return memoKey(jobKindBounds, struct {
 			Net      string  `json:"net"`
@@ -101,32 +91,17 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 			C        float64 `json:"c"`
 			Eps      float64 `json:"eps"`
 			EpsPrime float64 `json:"eps_prime"`
-		}{netMemoKey(req.netRef, cn), faults, c, req.Eps, req.EpsPrime})
+		}{netMemoKey(req.netRef, br.cn), br.faults, br.c, br.eps, br.epsPrime})
 	case jobKindInject:
 		var req injectRequest
 		if err := strictUnmarshal(raw, &req); err != nil {
 			return "", badRequest(err.Error())
 		}
-		modelName := req.Model
-		if modelName == "" {
-			modelName = "crash"
-		}
-		if _, ok := fault.Lookup(modelName); !ok {
-			return "", badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
-				modelName, strings.Join(fault.ModelNames(), ", ")))
-		}
-		cn, err := s.network(req.netRef)
+		ir, err := s.resolveInject(req)
 		if err != nil {
 			return "", err
 		}
-		faults, err := req.Faults.resolve(cn.shape.Widths)
-		if err != nil {
-			return "", err
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 7
-		}
+		p := ir.params
 		return memoKey(jobKindInject, struct {
 			Net         string  `json:"net"`
 			Faults      []int   `json:"faults"`
@@ -138,10 +113,8 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 			Prob        float64 `json:"prob"`
 			Bits        int     `json:"bits"`
 			Bit         int     `json:"bit"`
-		}{netMemoKey(req.netRef, cn), faults, modelName,
-			req.Adversarial == nil || *req.Adversarial, seed,
-			orDefault(req.C, 1), orDefault(req.Value, 0.8), orDefault(req.Prob, 0.5),
-			orDefaultInt(req.Bits, 8), orDefaultInt(req.Bit, 7)})
+		}{netMemoKey(req.netRef, ir.cn), ir.faults, ir.model.Name, ir.adversarial, ir.seed,
+			p.C, p.Value, p.Prob, p.Bits, p.Bit})
 	case jobKindMonteCarlo:
 		var req monteCarloRequest
 		if err := strictUnmarshal(raw, &req); err != nil {
@@ -187,12 +160,9 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 		if err := strictUnmarshal(raw, &req); err != nil {
 			return "", badRequest(err.Error())
 		}
-		exps, err := experiments.Select(experiments.Options{IDs: req.IDs, Tags: req.Tags})
+		exps, err := resolveExperiments(req)
 		if err != nil {
-			return "", badRequest(err.Error())
-		}
-		if len(exps) == 0 {
-			return "", badRequest("selection matches no experiments")
+			return "", err
 		}
 		ids := make([]string, len(exps))
 		for i, e := range exps {
@@ -206,6 +176,19 @@ func (s *Server) validateJob(kind string, raw json.RawMessage) (string, error) {
 	}
 }
 
+// resolveExperiments selects the requested experiments, rejecting an
+// empty selection.
+func resolveExperiments(req experimentsJobRequest) ([]experiments.Experiment, error) {
+	exps, err := experiments.Select(experiments.Options{IDs: req.IDs, Tags: req.Tags})
+	if err != nil {
+		return nil, badRequest(err.Error())
+	}
+	if len(exps) == 0 {
+		return nil, badRequest("selection matches no experiments")
+	}
+	return exps, nil
+}
+
 // memoKey hashes {kind, canonical resolved request} — the schema
 // DESIGN.md §7 documents.
 func memoKey(kind string, v any) (string, error) {
@@ -216,7 +199,7 @@ func memoKey(kind string, v any) (string, error) {
 }
 
 // execJob is the jobs.Exec adapter: it dispatches one attempt of any
-// job kind onto the corresponding compute path.
+// job kind onto the corresponding resolver and compute path.
 func (s *Server) execJob(t *jobs.Task) (any, error) {
 	switch t.Kind() {
 	case jobKindEval:
@@ -224,19 +207,31 @@ func (s *Server) execJob(t *jobs.Task) (any, error) {
 		if err := strictUnmarshal(t.Request(), &req); err != nil {
 			return nil, err
 		}
-		return s.computeEval(req)
+		ev, err := s.resolveEval(req)
+		if err != nil {
+			return nil, err
+		}
+		return computeEval(ev), nil
 	case jobKindBounds:
 		var req boundsRequest
 		if err := strictUnmarshal(t.Request(), &req); err != nil {
 			return nil, err
 		}
-		return s.computeBounds(req)
+		br, err := s.resolveBounds(req)
+		if err != nil {
+			return nil, err
+		}
+		return computeBounds(br), nil
 	case jobKindInject:
 		var req injectRequest
 		if err := strictUnmarshal(t.Request(), &req); err != nil {
 			return nil, err
 		}
-		return s.computeInject(req)
+		ir, err := s.resolveInject(req)
+		if err != nil {
+			return nil, err
+		}
+		return computeInject(ir)
 	case jobKindMonteCarlo:
 		return s.execMonteCarlo(t)
 	case jobKindWorstCase:
@@ -381,12 +376,9 @@ func (s *Server) execExperiments(t *jobs.Task) (any, error) {
 	if err := strictUnmarshal(t.Request(), &req); err != nil {
 		return nil, err
 	}
-	exps, err := experiments.Select(experiments.Options{IDs: req.IDs, Tags: req.Tags})
+	exps, err := resolveExperiments(req)
 	if err != nil {
 		return nil, err
-	}
-	if len(exps) == 0 {
-		return nil, fmt.Errorf("selection matches no experiments")
 	}
 	var ck expCheckpoint
 	if _, err := t.RestoreCheckpoint(&ck); err != nil {

@@ -256,7 +256,8 @@ func TestJobQueueFullBackpressure(t *testing.T) {
 }
 
 // TestJobValidation: submissions fail fast with client errors instead
-// of failing asynchronously.
+// of failing asynchronously — everything the synchronous route rejects
+// is rejected at submit.
 func TestJobValidation(t *testing.T) {
 	s, id := jobServer(t, Config{})
 	for _, tc := range []struct {
@@ -269,6 +270,10 @@ func TestJobValidation(t *testing.T) {
 		{"unknown network", `{"kind": "bounds", "request": {"network_id": "feedfeed"}}`, 404},
 		{"unknown experiment", `{"kind": "experiments", "request": {"ids": ["ZZ9"]}}`, 400},
 		{"unknown field", fmt.Sprintf(`{"kind": "montecarlo", "request": {"network_id": %q, "trails": 7}}`, id), 400},
+		{"bounds negative c", fmt.Sprintf(`{"kind": "bounds", "request": {"network_id": %q, "c": -1}}`, id), 400},
+		{"inject negative c", fmt.Sprintf(`{"kind": "inject", "request": {"network_id": %q, "c": -1}}`, id), 400},
+		{"eval input dimension", fmt.Sprintf(`{"kind": "eval", "request": {"network_id": %q, "inputs": [[1, 2, 3, 4, 5]]}}`, id), 400},
+		{"inject bitflip width", fmt.Sprintf(`{"kind": "inject", "request": {"network_id": %q, "model": "bitflip", "bits": 1}}`, id), 400},
 	} {
 		rec := doRec(t, s, "POST", "/v1/jobs", tc.body)
 		if rec.Code != tc.want {
@@ -282,6 +287,43 @@ func TestJobValidation(t *testing.T) {
 	rec := doRec(t, storeless, "POST", "/v1/jobs", `{"kind": "bounds", "request": {}}`)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("storeless submit status %d, want 503", rec.Code)
+	}
+}
+
+// memoPinRequests returns one fixed request per job kind against the
+// stored test network id.
+func memoPinRequests(id string) []struct{ kind, request string } {
+	return []struct{ kind, request string }{
+		{jobKindEval, fmt.Sprintf(`{"network_id": %q, "inputs": [[0.1, 0.2], [0.7, 0.4]]}`, id)},
+		{jobKindBounds, fmt.Sprintf(`{"network_id": %q, "faults": [2, 1], "eps": 3}`, id)},
+		{jobKindInject, fmt.Sprintf(`{"network_id": %q, "faults": 1, "model": "bitflip", "bit": 3}`, id)},
+		{jobKindMonteCarlo, fmt.Sprintf(`{"network_id": %q, "faults": [1, 2], "c": 0.5}`, id)},
+		{jobKindWorstCase, fmt.Sprintf(`{"network_id": %q, "faults": 1, "model": "stuck"}`, id)},
+		{jobKindExperiments, `{"ids": ["L1"]}`},
+	}
+}
+
+// TestMemoKeysStable pins the memo key of one fixed request per job
+// kind: results memoized by earlier builds stay valid only while the
+// resolved canonical form hashes to the same bytes.
+func TestMemoKeysStable(t *testing.T) {
+	s, id := jobServer(t, Config{})
+	want := map[string]string{
+		jobKindEval:        "a1c38ac3791264c36919b9e2efd4f4d186c5f9cecbafd6efed46b9029efacb6a",
+		jobKindBounds:      "5c44072178ebcc6f19aee83feb6d2a1c9852be49583f13c7169eab12eef01c01",
+		jobKindInject:      "247082ecc16bc09130bb92c724cb18b83c39f3fb42113b903d83750876db8114",
+		jobKindMonteCarlo:  "456cad9e633908976741d95578d011df27663fd7534953c959cca312e249ec19",
+		jobKindWorstCase:   "85387f8eb53b501aad0206e7baed2b85a5530d200e4b20cdc42674b81fd22c50",
+		jobKindExperiments: "3490618bb7dcab768ff0fb862d1f65a6c3a5ef435a15617a5b7c466b763e240b",
+	}
+	for _, tc := range memoPinRequests(id) {
+		key, err := s.validateJob(tc.kind, json.RawMessage(tc.request))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		if key != want[tc.kind] {
+			t.Errorf("%s memo key %s, want %s", tc.kind, key, want[tc.kind])
+		}
 	}
 }
 

@@ -6,59 +6,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/nn"
-	"repro/internal/rng"
 )
 
 // mcRange computes the worst-case error for Monte Carlo trials
 // [base, base+len(errs)) into errs, sharded over the server's worker
 // pool via ForCtx: cancellation or deadline stops the shards between
-// trials and every in-flight chunk is joined before the error returns.
-//
-// The result is deterministic for a given seed regardless of pool
-// size, scheduling, or the base offset: trial t always draws from the
-// splittable stream rng.NewStream(seed, t), so sharding and
-// checkpoint/resume only change who runs a trial, never what it
-// samples — a resumed campaign is bit-identical to an uninterrupted
-// one.
+// chunks and every in-flight chunk is joined before the error returns.
+// Each shard runs fault.MonteCarloRange, whose trial t always draws
+// from rng.NewStream(seed, t), so the result is deterministic for a
+// given seed regardless of pool size, scheduling or the base offset — a
+// resumed campaign is bit-identical to an uninterrupted one.
 func (s *Server) mcRange(ctx context.Context, net nn.Model, perLayer []int, c float64, traces []*nn.Trace, seed uint64, base int, errs []float64) error {
 	return s.pool.ForCtx(ctx, len(errs), 0, func(lo, hi int) {
-		// Each chunk owns a batched evaluator it loads BatchLanes trials
-		// at a time; the clean traces are shared by all shards (they are
-		// the expensive part and are cached per network for the standard
-		// input set). Each trial still draws from its own splittable
-		// stream and each lane replays the scalar evaluation exactly, so
-		// batching — like sharding — changes who runs a trial, never
-		// what it computes.
-		bp := fault.CompileBatch(net, fault.BatchLanes)
-		var plans [fault.BatchLanes]fault.Plan
-		var injs [fault.BatchLanes]fault.Injector
-		var laneErr, laneWorst [fault.BatchLanes]float64
-		for i := lo; i < hi; i += fault.BatchLanes {
-			lanes := fault.BatchLanes
-			if rem := hi - i; rem < lanes {
-				lanes = rem
-			}
-			for p := 0; p < lanes; p++ {
-				r := rng.NewStream(seed, uint64(base+i+p))
-				plans[p] = fault.RandomNeuronPlan(r, net, perLayer)
-				if c == 0 {
-					injs[p] = fault.Crash{}
-				} else {
-					injs[p] = fault.RandomByzantine{C: c, Sem: core.DeviationCap, R: r.Split()}
-				}
-				laneWorst[p] = 0
-			}
-			bp.Reset(plans[:lanes])
-			for _, tr := range traces {
-				bp.ErrorsOnTrace(injs[:lanes], tr, laneErr[:lanes])
-				for p := 0; p < lanes; p++ {
-					if laneErr[p] > laneWorst[p] {
-						laneWorst[p] = laneErr[p]
-					}
-				}
-			}
-			copy(errs[i:i+lanes], laneWorst[:lanes])
-		}
+		fault.MonteCarloRange(net, perLayer, c, core.DeviationCap, traces, seed, base+lo, errs[lo:hi])
 	})
 }
 
@@ -66,7 +26,7 @@ func (s *Server) mcRange(ctx context.Context, net nn.Model, perLayer []int, c fl
 // synchronous /v1/montecarlo path: one full sweep, no checkpointing.
 //
 // ctx bounds the campaign: when the request is abandoned (client gone,
-// server shutting down) the shards stop between trials and ctx.Err()
+// server shutting down) the shards stop between chunks and ctx.Err()
 // is returned — a 200,000-trial sweep must not keep burning the pool
 // for a caller that already hung up.
 func (s *Server) shardedMonteCarlo(ctx context.Context, net nn.Model, perLayer []int, c float64, traces []*nn.Trace, trials int, seed uint64) (fault.Profile, error) {

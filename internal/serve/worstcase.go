@@ -3,9 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 )
 
@@ -52,14 +50,9 @@ type wcResolved struct {
 // certificate, and belong to /v1/montecarlo.
 func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
 	var wc wcResolved
-	modelName := req.Model
-	if modelName == "" {
-		modelName = "crash"
-	}
-	model, ok := fault.Lookup(modelName)
-	if !ok {
-		return wc, badRequest(fmt.Sprintf("unknown fault model %q; registered models: %s",
-			modelName, strings.Join(fault.ModelNames(), ", ")))
+	model, err := lookupModel(req.Model)
+	if err != nil {
+		return wc, err
 	}
 	if !model.Deterministic {
 		return wc, badRequest(fmt.Sprintf("fault model %q is stochastic; exhaustive worst-case search needs a deterministic model — profile stochastic models with /v1/montecarlo", model.Name))
@@ -72,19 +65,11 @@ func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
 	if err != nil {
 		return wc, err
 	}
-	// Same rationale as computeInject: C-agnostic models would carry a
-	// negative cap into the Fep computation, which panics on it.
-	if req.C != nil && *req.C < 0 {
-		return wc, badRequest("c is negative")
+	if err := checkCap(req.C); err != nil {
+		return wc, err
 	}
-	params := fault.Params{
-		C:     orDefault(req.C, 1),
-		Sem:   core.DeviationCap,
-		Value: orDefault(req.Value, 0.8),
-		Bits:  orDefaultInt(req.Bits, 8),
-		Bit:   orDefaultInt(req.Bit, 7),
-		Net:   cn.model,
-	}
+	params := faultParams(req.C, req.Value, nil, req.Bits, req.Bit)
+	params.Net = cn.model
 	inj, err := model.New(params)
 	if err != nil {
 		return wc, badRequest(err.Error())
@@ -105,10 +90,8 @@ func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
 	}
 	inputs := req.Inputs
 	if len(inputs) > 0 {
-		for i, x := range inputs {
-			if len(x) != cn.model.Width(0) {
-				return wc, badRequest(fmt.Sprintf("inputs[%d] has dimension %d, want %d", i, len(x), cn.model.Width(0)))
-			}
+		if err := checkInputs(cn, inputs); err != nil {
+			return wc, err
 		}
 	} else {
 		inputs, _ = cn.standardInputs()

@@ -224,31 +224,6 @@ func (c *CSR) GatherLanesAddTo(ys [][]float64, srcs [][][]float64, b []float64) 
 	c.gatherLanesRange(ys, srcs, b, 0, c.Rows)
 }
 
-// GatherLanesFlatAddTo is GatherLanesAddTo for a single-block view with
-// each lane's block passed directly: ys[k][r] = RowFlat(r, xs[k])
-// (+ b[r]). This is the prev-level-only fast path, the sparse analogue
-// of MulVecLanesAddTo.
-func (c *CSR) GatherLanesFlatAddTo(ys, xs [][]float64, b []float64) {
-	if len(ys) != len(xs) {
-		panic(fmt.Sprintf("tensor: GatherLanesFlatAddTo %d outputs for %d lanes", len(ys), len(xs)))
-	}
-	if c.Lvl != nil {
-		panic("tensor: GatherLanesFlatAddTo on a multi-block view")
-	}
-	c.checkLanes("GatherLanesFlatAddTo", ys, b)
-	if len(xs) == 0 {
-		return
-	}
-	if len(c.W)*len(xs) >= csrParallelMin {
-		d := mvPool.Get().(*mvDispatch)
-		d.kind, d.csr, d.ys, d.xs, d.b = mvCSRFlatLanes, c, ys, xs, b
-		parallel.ForChunked(c.Rows, 16, d.run)
-		d.release()
-		return
-	}
-	c.gatherLanesFlatRange(ys, xs, b, 0, c.Rows)
-}
-
 // checkLanes panics unless every lane output and b (when set) hold Rows
 // entries.
 func (c *CSR) checkLanes(op string, ys [][]float64, b []float64) {
@@ -280,20 +255,6 @@ func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, b []float64, 
 		}
 		for ; k < len(ys); k++ {
 			ys[k][r] = c.Row(r, srcs[k])
-		}
-		addBias(ys, b, r)
-	}
-}
-
-// gatherLanesFlatRange is the serial core of GatherLanesFlatAddTo.
-func (c *CSR) gatherLanesFlatRange(ys, xs [][]float64, b []float64, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		k := 0
-		for ; k+4 <= len(ys); k += 4 {
-			ys[k][r], ys[k+1][r], ys[k+2][r], ys[k+3][r] = c.rowFlat4(r, xs[k], xs[k+1], xs[k+2], xs[k+3])
-		}
-		for ; k < len(ys); k++ {
-			ys[k][r] = c.RowFlat(r, xs[k])
 		}
 		addBias(ys, b, r)
 	}

@@ -126,8 +126,8 @@ var csrShapes = []struct {
 }
 
 // TestCSRGatherMatchesDot pins every CSR kernel to the dense kernel it
-// replays: lane k of GatherLanesAddTo and GatherLanesFlatAddTo, and the
-// single-lane Row and RowFlat, must equal tensor.Dot of the dense row
+// replays: lane k of GatherLanesAddTo, and the single-lane Row and
+// RowFlat, must equal tensor.Dot of the dense row
 // and the lane's concatenated sources (+bias) bit for bit, for lane
 // counts around the four-lane grouping and distinct or aliased sources.
 func TestCSRGatherMatchesDot(t *testing.T) {
@@ -181,13 +181,6 @@ func TestCSRGatherMatchesDot(t *testing.T) {
 					}
 					cc.c.GatherLanesAddTo(ys, srcs, b)
 					check("GatherLanesAddTo", ys)
-					if cc.flat == nil {
-						continue
-					}
-					for _, v := range []*CSR{cc.c, cc.flat} {
-						v.GatherLanesFlatAddTo(ys, xs, b)
-						check("GatherLanesFlatAddTo", ys)
-					}
 				}
 				for k := range srcs {
 					for row := 0; row < sh.rows; row++ {

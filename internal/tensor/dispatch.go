@@ -11,10 +11,9 @@ import "sync"
 // so the steady state allocates nothing.
 
 const (
-	mvSingle       = iota // mulVecAddRange
-	mvLanes               // mulVecLanesAddRange
-	mvCSRLanes            // gatherLanesRange
-	mvCSRFlatLanes        // gatherLanesFlatRange
+	mvSingle   = iota // mulVecAddRange
+	mvLanes           // mulVecLanesAddRange
+	mvCSRLanes        // gatherLanesRange
 )
 
 // mvDispatch rebinds one parallel matvec's operands per call.
@@ -39,8 +38,6 @@ var mvPool = sync.Pool{New: func() any {
 			d.m.mulVecLanesAddRange(d.ys, d.xs, d.b, lo, hi)
 		case mvCSRLanes:
 			d.csr.gatherLanesRange(d.ys, d.srcs, d.b, lo, hi)
-		case mvCSRFlatLanes:
-			d.csr.gatherLanesFlatRange(d.ys, d.xs, d.b, lo, hi)
 		}
 	}
 	return d

@@ -11,8 +11,8 @@ import (
 // thresholds plus operands for every matvec and gather kernel, and a
 // run function exercising all of them in one shot: single, 2-lane and
 // 4-lane (paired Go kernel) and 8-lane (the AVX2 kernel where the CPU has it)
-// matvecs, and 4- and 8-lane gathers over a multi-block view, a
-// single-block view and the flat entry point.
+// matvecs, and 4- and 8-lane gathers over a multi-block view and a
+// single-block view.
 func dispatchFixture(t testing.TB) (run func(), sink *float64) {
 	r := rng.New(7)
 	m := RandomMatrix(r, 256, 256, 1) // 65536 elements >= 1<<15
@@ -44,10 +44,8 @@ func dispatchFixture(t testing.TB) (run func(), sink *float64) {
 		t.Fatal("CSR fixture below the parallel threshold")
 	}
 	srcs := make([][][]float64, 8)
-	flat := make([][]float64, 8)
 	for k := range srcs {
 		srcs[k] = multi.sources(r)
-		flat[k] = srcs[k][0]
 	}
 	pairX, pairY := [][]float64{x1, x2}, [][]float64{y1, y2}
 	var s float64
@@ -59,7 +57,6 @@ func dispatchFixture(t testing.TB) (run func(), sink *float64) {
 		for _, n := range []int{4, 8} {
 			multi.c.GatherLanesAddTo(ys8[:n], srcs[:n], b)
 			single.c.GatherLanesAddTo(ys8[:n], srcs[:n], b)
-			single.c.GatherLanesFlatAddTo(ys8[:n], flat[:n], b)
 		}
 		s += y1[0] + y2[0] + ys[0][0] + ys8[7][0]
 	}, &s
