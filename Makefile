@@ -80,10 +80,12 @@ bench-graph:
 # beating the scalar one-at-a-time engine (the shape of the lane-by-lane
 # fallback it replaced), or if the two engines disagree bitwise on any
 # lane; the benchmark run prints the current scalar/batched and
-# flat/tree exhaustive columns.
+# flat/tree exhaustive columns, the campaign-graph Monte Carlo job with
+# its recomputed rows (rows/op), and the row-list vs lane-kernel
+# crossover behind the engine's rowFrac (BENCH_19.json).
 bench-graph-batch:
 	NEUROFAIL_BENCH_GRAPH_BATCH=1 $(GO) test -run 'TestGraphBatchSpeedSmoke' -count=1 -v .
-	$(GO) test -run '^$$' -bench 'BenchmarkGraph(BatchedSweep|Exhaustive)' -benchtime=5x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkGraph(BatchedSweep|Exhaustive|MonteCarlo|RowCrossover)' -benchtime=5x -benchmem .
 
 # Regenerates a BENCH_N.json skeleton from the gated benchmark suite:
 # runs the acceptance benchmarks, parses the `go test -bench` output,

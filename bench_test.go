@@ -8,13 +8,16 @@ package neurofail_test
 // sweeps).
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
 	neurofail "repro"
+	"repro/internal/activation"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/fault"
@@ -995,6 +998,98 @@ func BenchmarkGraphExhaustive(b *testing.B) {
 		}
 	})
 	b.Run("tree", func(b *testing.B) { benchExhaustive(b, g, perLayer, inputs) })
+}
+
+// graphMonteCarloFixture is campaign-graph's Monte Carlo job: the
+// sparse 1024-wide DAG (density 0.01), faults 4,4,4, crash failures,
+// 64 trials over 8 inputs.
+func graphMonteCarloFixture(tb testing.TB) (*neurofail.GraphNet, []int, []*nn.Trace) {
+	tb.Helper()
+	g := neurofail.NewSparseGraph(rng.New(1), 8, []int{1024, 1024, 1024}, neurofail.NewSigmoid(1), 0.01)
+	return g, []int{4, 4, 4}, fault.CleanTraces(g, metrics.RandomPoints(rng.New(2), 8, 8))
+}
+
+// BenchmarkGraphMonteCarlo measures one campaign-graph Monte Carlo job
+// (64 trials) on a reused batched evaluator. rows/op is the number of
+// rows a lane re-sums per trace, summed over the levels, and
+// lN-rows-frac the share of level N's rows it re-sums: the work the
+// row-granular damage frontier leaves.
+func BenchmarkGraphMonteCarlo(b *testing.B) {
+	const trials, seed = 64, 111
+	g, faults, traces := graphMonteCarloFixture(b)
+	bp := neurofail.CompileBatch(g, neurofail.BatchLanes)
+	errs := make([]float64, trials)
+	bp.MonteCarloRange(faults, 0, core.DeviationCap, traces, seed, 0, errs) // size the lane state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bp.MonteCarloRange(faults, 0, core.DeviationCap, traces, seed, i*trials, errs)
+	}
+	b.StopTimer()
+	L := g.NumLayers()
+	rows := make([]float64, L+1)
+	for t := 0; t < trials; t++ {
+		cp := fault.Compile(g, fault.RandomNeuronPlan(rng.NewStream(seed, uint64(t)), g, faults))
+		for l := 1; l <= L; l++ {
+			rows[l] += float64(cp.RecomputedRows(l)) / trials
+		}
+	}
+	total := 0.0
+	for l := 1; l <= L; l++ {
+		total += rows[l]
+		b.ReportMetric(rows[l]/float64(g.Width(l)), fmt.Sprintf("l%d-rows-frac", l))
+	}
+	b.ReportMetric(total, "rows/op")
+}
+
+// BenchmarkGraphRowCrossover measures the two ways the batched engine
+// can evaluate one damaged level of the sparse 1024-wide DAG for
+// BatchLanes lanes, each lane with its own damaged sources and its own
+// random row list covering frac of the level: "rows" re-sums and
+// re-activates each lane's listed rows (after copying its clean
+// outputs), "lanes" runs the grouped lane kernel over the whole level
+// and activates every row. ns/lane is the cost per lane; where the two
+// meet is the crossover behind the engine's rowFrac (with fewer lanes
+// in the kernel its per-lane cost rises, moving the crossover up).
+func BenchmarkGraphRowCrossover(b *testing.B) {
+	g, _, traces := graphMonteCarloFixture(b)
+	const l, lanes = 3, neurofail.BatchLanes
+	act := g.Activation()
+	w := g.Width(l)
+	srcs := make([][][]float64, lanes)
+	dsts := make([][]float64, lanes)
+	for p := range srcs {
+		tr := traces[p%len(traces)]
+		srcs[p] = append([][]float64{tr.Input}, tr.Outputs...)
+		dsts[p] = make([]float64, w)
+	}
+	for _, frac := range []float64{0.1, 0.25, 0.4, 0.5, 0.75, 1} {
+		r := rng.New(5)
+		rows := make([][]int, lanes)
+		for p := range rows {
+			rows[p] = r.Sample(w, int(frac*float64(w)))
+			sort.Ints(rows[p])
+		}
+		b.Run(fmt.Sprintf("frac=%.2f/rows", frac), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for p := range dsts {
+					copy(dsts[p], srcs[p][l])
+					g.LevelRowSums(l, dsts[p], srcs[p], rows[p])
+					activation.EvalAt(act, dsts[p], rows[p])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/lane")
+		})
+		b.Run(fmt.Sprintf("frac=%.2f/lanes", frac), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				g.LevelSumsLanes(l, dsts, srcs)
+				for p := range dsts {
+					activation.Eval(act, dsts[p], dsts[p])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/lane")
+		})
+	}
 }
 
 // TestGraphBatchSpeedSmoke is the enforced form of the BENCH_10.json

@@ -605,7 +605,7 @@ func cmdBoost(args []string) error {
 }
 
 // cmdMonteCarlo profiles random failure configurations. Trial t draws
-// from its own stream (fault.MonteCarloRange), so the profile equals
+// from its own stream (fault.BatchPlan.MonteCarloRange), so the profile equals
 // /v1/montecarlo's for the same model, faults, c, trials and seed.
 func cmdMonteCarlo(args []string) error {
 	fs := flag.NewFlagSet("montecarlo", flag.ExitOnError)
@@ -629,7 +629,7 @@ func cmdMonteCarlo(args []string) error {
 	traces := fault.CleanTraces(q.m, metrics.StandardInputs(q.m.Width(0)))
 	errs := make([]float64, *trials)
 	parallel.ForChunked(len(errs), fault.BatchLanes, func(lo, hi int) {
-		fault.MonteCarloRange(q.m, q.faults, *c, core.DeviationCap, traces, *seed, lo, errs[lo:hi])
+		fault.CompileBatch(q.m, fault.BatchLanes).MonteCarloRange(q.faults, *c, core.DeviationCap, traces, *seed, lo, errs[lo:hi])
 	})
 	prof := fault.ProfileOf(errs)
 	var bound float64

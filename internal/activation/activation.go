@@ -244,3 +244,21 @@ func scanK(name, format string, k *float64) bool {
 	n, err := fmt.Sscanf(name, format, k)
 	return err == nil && n == 1 && *k > 0
 }
+
+// EvalAt applies f in place to s[i] for every i in idx, leaving the
+// other entries alone: each written entry is the one Eval(f, s, s)
+// would produce. The sigmoid, the activation of every generated model,
+// runs Eval's fast-path expression without a dispatch per entry; the
+// other functions go through Eval one entry at a time.
+func EvalAt(f Func, s []float64, idx []int) {
+	if g, ok := f.(Sigmoid); ok {
+		k := -4 * g.K
+		for _, i := range idx {
+			s[i] = 1 / (1 + math.Exp(k*s[i]))
+		}
+		return
+	}
+	for _, i := range idx {
+		Eval(f, s[i:i+1], s[i:i+1])
+	}
+}

@@ -25,9 +25,11 @@ const BatchLanes = 8
 // the level's edges per group of four lanes (tensor.CSR.GatherLanesAddTo)
 // for graph levels — so the weights stream from cache once per batch
 // of lanes instead of once per plan, which is where the structural
-// speedup over the one-at-a-time engine comes from. A divergent level
-// with no synapse faults and clean sources copies the trace outputs
-// and overrides the faulty neurons instead of joining the batch.
+// speedup over the one-at-a-time engine comes from. A lane whose
+// damage at a level is a short row list (graph models, at most rowFrac
+// of the level) re-sums just those rows on its own instead of joining
+// the batch; with no rows listed it copies the trace outputs and
+// overrides its faulty neurons.
 //
 // Per lane the arithmetic replays CompiledPlan.ErrorOnTrace exactly
 // (same kernels, same accumulation order, same fault-application
@@ -58,6 +60,10 @@ type BatchPlan struct {
 	// sweep (entry 0 the input; clean levels alias the lane's trace,
 	// frontier levels the lane's scratch buffer).
 	levels [][][]float64
+
+	// trials is the Monte Carlo lane loop's state (sweepTrials),
+	// allocated on its first use.
+	trials *trialLanes
 }
 
 // CompileBatch builds a batched evaluator with the given lane capacity
@@ -83,8 +89,9 @@ func CompileBatch(m nn.Model, lanes int) *BatchPlan {
 	// serve Monte Carlo chunk builds a batch per few trials.
 	cps := make([]CompiledPlan, lanes)
 	levels := make([][]float64, lanes*(L+1))
+	rd, _ := dm.(nn.RowDAG)
 	for p := range bp.lanes {
-		cps[p] = CompiledPlan{net: m, dag: dm}
+		cps[p] = CompiledPlan{net: m, dag: dm, rowDAG: rd}
 		cps[p].Reset(Plan{})
 		bp.lanes[p] = &cps[p]
 		bp.levels[p] = levels[p*(L+1) : (p+1)*(L+1)]
@@ -173,21 +180,16 @@ func (bp *BatchPlan) evalLanes(injs []Injector, out []float64) {
 		lanebufs := bp.sc.Layer(l)
 		for p := 0; p < n; p++ {
 			cp := bp.lanes[p]
-			if !cp.frontier[l] {
+			pl := &cp.lv[l]
+			if !pl.dirty() {
 				continue
 			}
-			if len(cp.synapsesAt[l]) == 0 && !cp.srcDirty[l] {
-				// Divergent level with clean sources and no synapse
-				// faults: the received sums equal the clean ones, so
-				// non-overridden outputs are bitwise the trace's — copy
-				// and override instead of joining the kernel batch (the
-				// scalar engine's divergence-copy fast path).
-				tr := bp.trs[p]
-				dst := lanebufs[p]
-				copy(dst, tr.Outputs[l-1])
-				_, isCrash := injs[p].(Crash)
-				cp.overrideNeurons(injs[p], isCrash, l, dst, tr.Outputs[l-1])
-				bp.levels[p][l] = dst
+			if !pl.whole {
+				// Few rows can differ from the clean trace: re-sum just
+				// those for this lane (the scalar engine's row path)
+				// instead of joining the kernel batch.
+				cp.evalRows(injs[p], act, l, lanebufs[p], bp.levels[p], bp.trs[p].Outputs[l-1])
+				bp.levels[p][l] = lanebufs[p]
 				continue
 			}
 			bp.dsts[k] = lanebufs[p]
@@ -201,24 +203,11 @@ func (bp *BatchPlan) evalLanes(injs []Injector, out []float64) {
 		// One sweep over the level's weights serves every live lane.
 		nn.LevelSumsLanesModel(m, l, bp.dsts[:k], bp.srcs[:k], bp.xs)
 		// Fault application per lane, in the exact order of the scalar
-		// engine: synapse deltas on the received sums (in-edge ordinal
-		// addressing — a fault can sit on a skip edge), activation
-		// around the overridden rows, then neuron overrides reading
-		// nominals off the clean trace.
+		// engine, with nominals read off the clean trace.
 		for s := 0; s < k; s++ {
 			p := bp.laneOf[s]
-			cp := bp.lanes[p]
-			inj := injs[p]
-			sF := bp.dsts[s]
-			ys := bp.levels[p]
-			for _, f := range cp.synapsesAt[l] {
-				sl, si, w := m.InEdge(l, f.To, f.From)
-				sF[f.To] += inj.SynapseDelta(f, w*ys[sl][si])
-			}
-			evalSkip(act, sF, cp.overridden[l])
-			_, isCrash := inj.(Crash)
-			cp.overrideNeurons(inj, isCrash, l, sF, bp.trs[p].Outputs[l-1])
-			ys[l] = sF
+			bp.lanes[p].applyFaults(injs[p], act, l, bp.dsts[s], bp.levels[p], bp.trs[p].Outputs[l-1])
+			bp.levels[p][l] = bp.dsts[s]
 		}
 	}
 
@@ -226,7 +215,7 @@ func (bp *BatchPlan) evalLanes(injs []Injector, out []float64) {
 		cp := bp.lanes[p]
 		ys := bp.levels[p]
 		faulted := m.OutputSumLevels(ys)
-		for _, f := range cp.synapsesAt[L+1] {
+		for _, f := range cp.lv[L+1].synapses {
 			sl, si, w := m.InEdge(L+1, f.To, f.From)
 			faulted += injs[p].SynapseDelta(f, w*ys[sl][si])
 		}

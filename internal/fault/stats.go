@@ -26,8 +26,8 @@ type Profile struct {
 // distribution, each with random bounded Byzantine values (or crashes
 // when c == 0), measures the max error over the inputs for each, and
 // returns the empirical profile. Every trial draws from the one
-// sequential stream r, in trial order; MonteCarloRange is the variant
-// whose trials draw from their own streams.
+// sequential stream r, in trial order; BatchPlan.MonteCarloRange is the
+// variant whose trials draw from their own streams.
 //
 // Trials run through the batched multi-lane engine, BatchLanes
 // configurations per sweep, and each lane replays the scalar
@@ -35,8 +35,8 @@ type Profile struct {
 // trials one at a time.
 func MonteCarlo(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, inputs [][]float64, trials int, r *rng.Rand) Profile {
 	errs := make([]float64, trials)
-	sweepTrials(n, CleanTraces(n, inputs), errs, func(int) (Plan, Injector) {
-		return randomTrial(r, n, perLayer, c, sem)
+	CompileBatch(n, BatchLanes).sweepTrials(CleanTraces(n, inputs), errs, func(_ int, d *trialDraw) (Plan, Injector) {
+		return d.draw(r, n, perLayer, c, sem)
 	})
 	return ProfileOf(errs)
 }
@@ -49,56 +49,127 @@ func MonteCarlo(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, in
 // its resume — changes who runs a trial, never what it samples, and
 // the ranges together reproduce one full sweep bit for bit. traces are
 // the inputs' clean traces (CleanTraces); they are only read, so
-// concurrent calls may share them.
-func MonteCarloRange(n nn.Model, perLayer []int, c float64, sem core.CapSemantics, traces []*nn.Trace, seed uint64, base int, errs []float64) {
-	sweepTrials(n, traces, errs, func(i int) (Plan, Injector) {
-		return randomTrial(rng.NewStream(seed, uint64(base+i)), n, perLayer, c, sem)
+// concurrent calls on different evaluators may share them. On a reused
+// evaluator the sweep allocates nothing.
+func (bp *BatchPlan) MonteCarloRange(perLayer []int, c float64, sem core.CapSemantics, traces []*nn.Trace, seed uint64, base int, errs []float64) {
+	bp.sweepTrials(traces, errs, func(i int, d *trialDraw) (Plan, Injector) {
+		d.stream.Seed(seed, uint64(base+i))
+		return d.draw(&d.stream, bp.m, perLayer, c, sem)
 	})
 }
 
-// randomTrial draws one Monte Carlo trial from r: a random plan with
-// the distribution perLayer, then crashes (c == 0) or random bounded
-// Byzantine values drawn from a split of r.
-func randomTrial(r *rng.Rand, n nn.Model, perLayer []int, c float64, sem core.CapSemantics) (Plan, Injector) {
-	plan := RandomNeuronPlan(r, n, perLayer)
+// trialDraw is one lane's reusable Monte Carlo draw: the trial's
+// stream, the value stream split off it, and the buffers its plan and
+// injector live in until the lane's next trial.
+type trialDraw struct {
+	stream, values rng.Rand
+	byz            RandomByzantine
+	neurons        []NeuronFault
+	pick           []int
+	// perm is the identity index array rng.SampleInto shuffles, as wide
+	// as the model's widest level and shared by the evaluator's lanes
+	// (they draw one at a time).
+	perm []int
+}
+
+// draw draws one Monte Carlo trial from r into d: the plan
+// RandomNeuronPlan(r, n, perLayer) returns, then crashes (c == 0) or
+// random bounded Byzantine values on the stream r.Split() returns —
+// the same draws, in the same order, without allocating.
+func (d *trialDraw) draw(r *rng.Rand, n nn.Model, perLayer []int, c float64, sem core.CapSemantics) (Plan, Injector) {
+	if len(perLayer) != n.NumLayers() {
+		panic("fault: perLayer length must equal the number of layers")
+	}
+	d.neurons = d.neurons[:0]
+	for l := 1; l <= n.NumLayers(); l++ {
+		k := perLayer[l-1]
+		if cap(d.pick) < k {
+			d.pick = make([]int, k)
+		}
+		pick := d.pick[:k]
+		r.SampleInto(pick, n.Width(l), d.perm)
+		for _, idx := range pick {
+			d.neurons = append(d.neurons, NeuronFault{Layer: l, Index: idx})
+		}
+	}
+	plan := Plan{Neurons: d.neurons}
 	if c == 0 {
 		return plan, Crash{}
 	}
-	return plan, RandomByzantine{C: c, Sem: sem, R: r.Split()}
+	seed := r.Uint64()
+	stream := r.Uint64()
+	d.values.Seed(seed, stream)
+	d.byz = RandomByzantine{C: c, Sem: sem, R: &d.values}
+	return plan, &d.byz
 }
 
 // sweepTrials is the Monte Carlo lane loop: it sets errs[i] to trial
-// i's largest error over the clean traces, loading BatchLanes trials at
-// a time into one batched evaluator so each weight matrix streams once
-// per group of trials. draw(i) supplies trial i's plan and injector and
-// is called in trial order.
-func sweepTrials(n nn.Model, traces []*nn.Trace, errs []float64, draw func(i int) (Plan, Injector)) {
-	bp := CompileBatch(n, BatchLanes)
-	var plans [BatchLanes]Plan
-	var injs [BatchLanes]Injector
-	var laneErr, laneWorst [BatchLanes]float64
-	for i := 0; i < len(errs); i += BatchLanes {
-		lanes := min(BatchLanes, len(errs)-i)
+// i's largest error over the clean traces, loading bp.Lanes() trials at
+// a time so each level's weights stream once per group of trials.
+// draw(i, d) supplies trial i's plan and injector, built in lane d's
+// buffers, and is called in trial order.
+func (bp *BatchPlan) sweepTrials(traces []*nn.Trace, errs []float64, draw func(i int, d *trialDraw) (Plan, Injector)) {
+	mc := bp.trialState()
+	P := len(mc.draws)
+	for i := 0; i < len(errs); i += P {
+		lanes := min(P, len(errs)-i)
 		for p := 0; p < lanes; p++ {
-			plans[p], injs[p] = draw(i + p)
-			laneWorst[p] = 0
+			mc.plans[p], mc.injs[p] = draw(i+p, &mc.draws[p])
+			mc.worst[p] = 0
 		}
-		bp.Reset(plans[:lanes])
+		bp.Reset(mc.plans[:lanes])
 		for _, tr := range traces {
-			bp.ErrorsOnTrace(injs[:lanes], tr, laneErr[:lanes])
+			bp.ErrorsOnTrace(mc.injs[:lanes], tr, mc.errs[:lanes])
 			for p := 0; p < lanes; p++ {
-				if laneErr[p] > laneWorst[p] {
-					laneWorst[p] = laneErr[p]
+				if mc.errs[p] > mc.worst[p] {
+					mc.worst[p] = mc.errs[p]
 				}
 			}
 		}
-		copy(errs[i:i+lanes], laneWorst[:lanes])
+		copy(errs[i:i+lanes], mc.worst[:lanes])
 	}
 }
 
+// trialLanes is the Monte Carlo lane loop's per-lane state: each lane's
+// draw buffers, its current plan and injector, its error on the
+// current trace and its worst error so far.
+type trialLanes struct {
+	draws       []trialDraw
+	plans       []Plan
+	injs        []Injector
+	errs, worst []float64
+}
+
+// trialState returns bp's Monte Carlo lane state, allocating it on
+// first use.
+func (bp *BatchPlan) trialState() *trialLanes {
+	if bp.trials != nil {
+		return bp.trials
+	}
+	P := len(bp.lanes)
+	var perm []int
+	for l := 1; l <= bp.m.NumLayers(); l++ {
+		for len(perm) < bp.m.Width(l) {
+			perm = append(perm, len(perm))
+		}
+	}
+	mc := &trialLanes{
+		draws: make([]trialDraw, P),
+		plans: make([]Plan, P),
+		injs:  make([]Injector, P),
+		errs:  make([]float64, P),
+		worst: make([]float64, P),
+	}
+	for p := range mc.draws {
+		mc.draws[p].perm = perm
+	}
+	bp.trials = mc
+	return mc
+}
+
 // ProfileOf summarises per-trial max errors into a Profile — the shared
-// tail of MonteCarlo and of executors that collect MonteCarloRange
-// shards themselves.
+// tail of MonteCarlo and of executors that collect
+// BatchPlan.MonteCarloRange shards themselves.
 func ProfileOf(errs []float64) Profile {
 	sorted := append([]float64(nil), errs...)
 	sort.Float64s(sorted)

@@ -161,8 +161,9 @@ type WorstCase struct {
 	// or any damaged source level); srcDirty[l] the source half alone.
 	// Every configuration of the search damages exactly the layers with
 	// perLayer > 0, so the frontier — and with it every alias/copy/
-	// recompute decision — is one fixed bitmask, identical to the
-	// compiled engine's per-plan frontier for each leaf.
+	// recompute decision — is one fixed bitmask: the compiled engine's
+	// per-plan frontier for each leaf on models it follows level by
+	// level, a superset of its row-granular one on graphs.
 	dirtyLvl []bool
 	srcDirty []bool
 
@@ -853,4 +854,24 @@ func ExhaustiveWorstCrash(n nn.Model, perLayer []int, inputs [][]float64, maxCon
 		return ExhaustiveResult{}, err
 	}
 	return w.Run(context.Background())
+}
+
+// markFrontier spreads the walk's static frontier over dm's levels in
+// ascending order: on entry dirty[l] says whether level l hosts faults;
+// on return it also holds when l reads a dirty level, which srcDirty[l]
+// records alone. Levels 1..len(dirty)-1 are marked; level 0, the input,
+// is always clean.
+func markFrontier(dm nn.DAGModel, dirty, srcDirty []bool) {
+	dirty[0], srcDirty[0] = false, false
+	for l := 1; l < len(dirty); l++ {
+		src := false
+		for _, v := range dm.SrcLevels(l) {
+			if v >= 1 && dirty[v] {
+				src = true
+				break
+			}
+		}
+		srcDirty[l] = src
+		dirty[l] = dirty[l] || src
+	}
 }

@@ -118,30 +118,44 @@ func TestGraphBatchMatchesScalarAllModels(t *testing.T) {
 
 // TestGraphBatchSteadyStateAllocs extends the batched engine's
 // zero-allocation contract to graph models: once compiled and loaded,
-// Reset + a full trace sweep over the level-scheduled lanes path must
-// not allocate.
+// Reset (row lists included) + a full trace sweep over the
+// level-scheduled lanes path must not allocate — on the skip graph and
+// on a sparse graph whose lanes take the row path.
 func TestGraphBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool allocates on Get; the contract is measured without the detector")
 	}
 	g, inputs := batchSkipNet(t, 227)
-	traces := fault.CleanTraces(g, inputs)
 	r := rng.New(229)
-	plans := graphBatchPlans(t, r, g)
-	bp := fault.CompileBatch(g, len(plans))
-	injs := make([]fault.Injector, len(plans))
-	for p := range injs {
-		injs[p] = fault.Crash{}
+	sparse := graph.NewSparse(r, 3, []int{96, 96, 64}, activation.NewSigmoid(1), 0.05)
+	sparsePlans := make([]fault.Plan, fault.BatchLanes)
+	for p := range sparsePlans {
+		sparsePlans[p] = fault.RandomNeuronPlan(r, sparse, []int{2, 2, 1})
 	}
-	out := make([]float64, len(plans))
-	run := func() {
-		bp.Reset(plans)
-		for _, tr := range traces {
-			bp.ErrorsOnTrace(injs, tr, out)
+	for _, c := range []struct {
+		name  string
+		g     *graph.Net
+		plans []fault.Plan
+	}{
+		{"skip", g, graphBatchPlans(t, r, g)},
+		{"sparse", sparse, sparsePlans},
+	} {
+		traces := fault.CleanTraces(c.g, inputs)
+		bp := fault.CompileBatch(c.g, len(c.plans))
+		injs := make([]fault.Injector, len(c.plans))
+		for p := range injs {
+			injs[p] = fault.Crash{}
 		}
-	}
-	run()
-	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
-		t.Errorf("batched graph sweep: %v allocs per run, want 0", allocs)
+		out := make([]float64, len(c.plans))
+		run := func() {
+			bp.Reset(c.plans)
+			for _, tr := range traces {
+				bp.ErrorsOnTrace(injs, tr, out)
+			}
+		}
+		run()
+		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+			t.Errorf("batched %s graph sweep: %v allocs per run, want 0", c.name, allocs)
+		}
 	}
 }

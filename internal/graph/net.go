@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"repro/internal/activation"
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -75,9 +76,14 @@ type Net struct {
 	Levels   []*Level
 	Output   *Level
 
-	once       sync.Once
-	meta       []levelMeta // meta[l-1] for level l = 1..L+1
-	outMax     [][]float64 // outMax[l-1][i]: max |w| over edges leaving node (l, i)
+	once   sync.Once
+	meta   []levelMeta // meta[l-1] for level l = 1..L+1
+	outMax [][]float64 // outMax[l-1][i]: max |w| over edges leaving node (l, i)
+	// readPtr[l-1] and readers[l-1] are the out-adjacency of level l
+	// (1..L) in CSR form: node i of level l is read by the nodes
+	// readers[l-1][readPtr[l-1][i]:readPtr[l-1][i+1]].
+	readPtr    [][]int
+	readers    [][]nn.NodeRef
 	compileErr error
 }
 
@@ -158,7 +164,51 @@ func (n *Net) doCompile() error {
 			return err
 		}
 	}
+	n.compileReaders()
 	return nil
+}
+
+// compileReaders builds the out-adjacency of the hidden levels by
+// transposing every level's in-edges, the output node's included.
+// Walking readers in ascending (level, row) order and appending keeps
+// each node's list sorted.
+func (n *Net) compileReaders() {
+	L := len(n.Levels)
+	n.readPtr = make([][]int, L)
+	n.readers = make([][]nn.NodeRef, L)
+	for v := 1; v <= L; v++ {
+		n.readPtr[v-1] = make([]int, n.width(v)+1)
+	}
+	for l := 1; l <= L+1; l++ {
+		lv := n.level(l)
+		for e, sl := range lv.SrcLevel {
+			if sl >= 1 {
+				n.readPtr[sl-1][lv.SrcIdx[e]+1]++
+			}
+		}
+	}
+	next := make([][]int, L)
+	for v := 1; v <= L; v++ {
+		ptr := n.readPtr[v-1]
+		for i := 1; i < len(ptr); i++ {
+			ptr[i] += ptr[i-1]
+		}
+		n.readers[v-1] = make([]nn.NodeRef, ptr[len(ptr)-1])
+		next[v-1] = append([]int(nil), ptr[:len(ptr)-1]...)
+	}
+	for l := 1; l <= L+1; l++ {
+		lv := n.level(l)
+		for to := 0; to < lv.N; to++ {
+			for e := lv.Ptr[to]; e < lv.Ptr[to+1]; e++ {
+				sl, si := lv.SrcLevel[e], lv.SrcIdx[e]
+				if sl < 1 {
+					continue
+				}
+				n.readers[sl-1][next[sl-1][si]] = nn.NodeRef{Level: int32(l), Index: int32(to)}
+				next[sl-1][si]++
+			}
+		}
+	}
 }
 
 func (n *Net) compileLevel(l int) error {
@@ -319,6 +369,31 @@ func (n *Net) LevelSums(l int, dst []float64, ys [][]float64, skip []int) {
 			continue
 		}
 		s := m.csr.Row(to, ys)
+		if lv.Bias != nil {
+			s += lv.Bias[to]
+		}
+		dst[to] = s
+	}
+}
+
+// Readers returns the nodes reading node i of level v (1 <= v <= L) in
+// ascending (level, row) order, the output node as (L+1, 0): the
+// nn.RowDAG out-adjacency, skip edges included.
+func (n *Net) Readers(v, i int) []nn.NodeRef {
+	n.mustCompile()
+	ptr := n.readPtr[v-1]
+	return n.readers[v-1][ptr[i]:ptr[i+1]]
+}
+
+// LevelRowSums computes level l's pre-activation sums at the listed
+// rows only — each row the same csr.Row call plus bias as LevelSums,
+// so every written entry is bit-identical to it.
+func (n *Net) LevelRowSums(l int, dst []float64, ys [][]float64, rows []int) {
+	n.mustCompile()
+	lv := n.Levels[l-1]
+	csr := n.meta[l-1].csr
+	for _, to := range rows {
+		s := csr.Row(to, ys)
 		if lv.Bias != nil {
 			s += lv.Bias[to]
 		}

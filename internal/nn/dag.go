@@ -44,6 +44,29 @@ type DAGModel interface {
 	OutputSumLevels(ys [][]float64) float64
 }
 
+// RowDAG is an optional DAGModel refinement for models that know, node
+// by node, which rows read it. The fault engines use it to follow
+// damage row by row: a fault disturbs only the rows downstream of it,
+// so a trace evaluation re-sums just those rows and copies the rest
+// from the clean trace. Models without it (the layered view, conv) are
+// followed level by level.
+type RowDAG interface {
+	DAGModel
+	// Readers returns the nodes that read node i of level v
+	// (1 <= v <= L) in ascending (level, row) order; the output node is
+	// (L+1, 0). The slice is owned by the model; callers must not
+	// mutate it.
+	Readers(v, i int) []NodeRef
+	// LevelRowSums writes level l's pre-activation sums, biases
+	// included, into dst[r] for every r in rows and leaves the other
+	// entries of dst untouched. Each written entry is bit-identical to
+	// the one LevelSums computes over the same sources.
+	LevelRowSums(l int, dst []float64, ys [][]float64, rows []int)
+}
+
+// NodeRef addresses node Index of level Level.
+type NodeRef struct{ Level, Index int32 }
+
 // AsDAG returns m as a DAGModel: m itself when it already is one,
 // otherwise its layered view — the DAG in which every level reads only
 // the level before it (Lynch's abstraction argument). The view calls

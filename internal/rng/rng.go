@@ -40,15 +40,21 @@ func New(seed uint64) *Rand {
 // stream. Different stream values yield independent sequences.
 func NewStream(seed, stream uint64) *Rand {
 	r := &Rand{}
+	r.Seed(seed, stream)
+	return r
+}
+
+// Seed resets r in place to the stream NewStream(seed, stream) returns:
+// the allocation-free way to start a fresh stream in a reused value.
+func (r *Rand) Seed(seed, stream uint64) {
+	*r = Rand{}
 	// The increment must be odd. Spread the stream id over both limbs.
 	r.incHi = stream
 	r.incLo = stream<<1 | 1
 	// Standard PCG seeding: advance once, add seed, advance again.
-	r.stateHi, r.stateLo = 0, 0
 	r.step()
 	r.stateLo, r.stateHi = add128(r.stateHi, r.stateLo, 0, seed)
 	r.step()
-	return r
 }
 
 // add128 returns (hi,lo) + (bhi,blo) as lo, hi (note the return order is
@@ -181,6 +187,31 @@ func (r *Rand) Sample(n, k int) []int {
 		out[i] = idx[i]
 	}
 	return out
+}
+
+// SampleInto is Sample(n, len(dst)) without allocating: it draws the
+// same indices, in the same order, from the same stream state into dst.
+// perm is the index array of the partial Fisher–Yates shuffle: it must
+// hold the identity permutation on at least its first n entries, and it
+// holds it again on return, so a caller keeps one perm and reuses it.
+func (r *Rand) SampleInto(dst []int, n int, perm []int) {
+	k := len(dst)
+	if k > n {
+		panic("rng: SampleInto with k out of range")
+	}
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		perm[i], perm[j] = perm[j], perm[i]
+		dst[i] = perm[i]
+	}
+	// Only the first k slots and slots whose value was drawn moved: a
+	// slot j >= k first gives up its own value j to dst.
+	for _, v := range dst {
+		perm[v] = v
+	}
+	for i := 0; i < k; i++ {
+		perm[i] = i
+	}
 }
 
 // Floats fills dst with uniform values in [lo, hi).

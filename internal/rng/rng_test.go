@@ -349,3 +349,53 @@ func TestWattsStrogatz(t *testing.T) {
 		}()
 	}
 }
+
+// TestSeedMatchesNewStream pins the in-place reseed to NewStream: a
+// reused value, whatever state it held (a cached Gaussian included),
+// continues exactly as a fresh stream would.
+func TestSeedMatchesNewStream(t *testing.T) {
+	var r Rand
+	r.Seed(1, 2)
+	r.NormFloat64() // leave a cached Gaussian behind
+	for _, c := range [][2]uint64{{0, 0}, {9, 17}, {111, 1 << 40}, {^uint64(0), 3}} {
+		r.Seed(c[0], c[1])
+		want := NewStream(c[0], c[1])
+		for i := 0; i < 8; i++ {
+			if g, w := r.NormFloat64(), want.NormFloat64(); g != w {
+				t.Fatalf("Seed%v draw %d: %v, NewStream gives %v", c, i, g, w)
+			}
+		}
+	}
+}
+
+// TestSampleIntoMatchesSample pins SampleInto to Sample draw for draw
+// on twin streams, including k = 0 and k = n, and checks it restores
+// the shared identity array after every call.
+func TestSampleIntoMatchesSample(t *testing.T) {
+	perm := make([]int, 40)
+	for i := range perm {
+		perm[i] = i
+	}
+	a, b := New(5), New(5)
+	for _, c := range [][2]int{{1, 0}, {1, 1}, {10, 3}, {40, 40}, {40, 7}, {25, 24}, {3, 2}} {
+		n, k := c[0], c[1]
+		for rep := 0; rep < 20; rep++ {
+			want := a.Sample(n, k)
+			got := make([]int, k)
+			b.SampleInto(got, n, perm)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d k=%d: SampleInto %v, Sample %v", n, k, got, want)
+				}
+			}
+			for i, v := range perm {
+				if v != i {
+					t.Fatalf("n=%d k=%d: perm[%d] = %d after SampleInto, want the identity", n, k, i, v)
+				}
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SampleInto consumed a different number of draws than Sample")
+	}
+}

@@ -30,6 +30,10 @@ type cachedNet struct {
 	// makes for the model: a Certifier is not concurrent-safe, so each
 	// request borrows a unit.
 	certs sync.Pool
+	// batches pools the batched evaluators Monte Carlo shards run on
+	// (a BatchPlan is not concurrent-safe either, and a sparse
+	// 1024-wide model's costs ~200 KB to build).
+	batches sync.Pool
 
 	// inputsOnce guards the standard evaluation inputs and their clean
 	// traces (the expensive shared reference for inject/montecarlo).
@@ -64,6 +68,7 @@ func newCachedNet(id string, m nn.Model) (*cachedNet, error) {
 	cn.certs.New = func() any {
 		return &boundsScratch{cert: newPricer(), synFaults: make([]int, shape.Layers()+1)}
 	}
+	cn.batches.New = func() any { return fault.CompileBatch(m, fault.BatchLanes) }
 	return cn, nil
 }
 
@@ -182,7 +187,21 @@ func (s *Server) storedNetwork(ref string) (*cachedNet, error) {
 		return nil, &httpError{status: 422, msg: fmt.Sprintf("stored network %s: %v", store.ShortID(entry.ID), err)}
 	}
 	s.nets[entry.ID] = cn
+	s.byModel[m] = cn
 	return cn, nil
+}
+
+// batchPool returns the pool of batched evaluators for net: its cache
+// entry's for a stored model, a fresh one for an inline model, which
+// is served uncached.
+func (s *Server) batchPool(net nn.Model) *sync.Pool {
+	s.mu.RLock()
+	cn := s.byModel[net]
+	s.mu.RUnlock()
+	if cn != nil {
+		return &cn.batches
+	}
+	return &sync.Pool{New: func() any { return fault.CompileBatch(net, fault.BatchLanes) }}
 }
 
 // cachedNetworks reports the number of networks currently cached.

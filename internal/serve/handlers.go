@@ -661,16 +661,30 @@ const maxTrials = 200000
 const statusClientClosedRequest = 499
 
 // mcResolved is a validated Monte Carlo campaign: defaults applied,
-// faults resolved against the layer widths, clean traces materialised.
-// Its scalar fields (plus the network identity and inputs) are exactly
-// what determines the result — the memo key hashes them.
+// faults resolved against the layer widths, inputs checked against the
+// input width. Its scalar fields (plus the network identity and inputs)
+// are exactly what determines the result — the memo key hashes them.
+// Validation traces nothing: the inputs' clean traces are computed by
+// whoever runs the campaign (cleanTraces).
 type mcResolved struct {
 	cn     *cachedNet
 	faults []int
 	c      float64
 	trials int
 	seed   uint64
-	traces []*nn.Trace
+	// inputs are the request's own inputs, nil for the network's
+	// standard sample.
+	inputs [][]float64
+}
+
+// cleanTraces returns the campaign inputs' clean traces: the network's
+// cached standard traces, or the request's inputs traced now.
+func (mc mcResolved) cleanTraces() []*nn.Trace {
+	if mc.inputs == nil {
+		_, traces := mc.cn.standardInputs()
+		return traces
+	}
+	return fault.CleanTraces(mc.cn.model, mc.inputs)
 }
 
 // resolveMonteCarlo validates a campaign request, applying the same
@@ -699,16 +713,14 @@ func (s *Server) resolveMonteCarlo(req monteCarloRequest) (mcResolved, error) {
 	if seed == 0 {
 		seed = 9
 	}
-	var traces []*nn.Trace
+	var inputs [][]float64
 	if len(req.Inputs) > 0 {
 		if err := checkInputs(cn, req.Inputs); err != nil {
 			return mc, err
 		}
-		traces = fault.CleanTraces(cn.model, req.Inputs)
-	} else {
-		_, traces = cn.standardInputs()
+		inputs = req.Inputs
 	}
-	return mcResolved{cn: cn, faults: faults, c: req.C, trials: trials, seed: seed, traces: traces}, nil
+	return mcResolved{cn: cn, faults: faults, c: req.C, trials: trials, seed: seed, inputs: inputs}, nil
 }
 
 // mcResponse compares a completed profile against the matching
@@ -751,7 +763,7 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	prof, err := s.shardedMonteCarlo(r.Context(), mc.cn.model, mc.faults, mc.c, mc.traces, mc.trials, mc.seed)
+	prof, err := s.shardedMonteCarlo(r.Context(), mc.cn.model, mc.faults, mc.c, mc.cleanTraces(), mc.trials, mc.seed)
 	if err != nil {
 		// The client is gone or the server is draining: there is nobody
 		// to answer, and the partial profile would be wrong anyway.

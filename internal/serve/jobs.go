@@ -264,6 +264,7 @@ func (s *Server) execMonteCarlo(t *jobs.Task) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	traces := mc.cleanTraces()
 	errs := make([]float64, mc.trials)
 	done := 0
 	var ck mcCheckpoint
@@ -279,7 +280,7 @@ func (s *Server) execMonteCarlo(t *jobs.Task) (any, error) {
 		if end > mc.trials {
 			end = mc.trials
 		}
-		if err := s.mcRange(t.Ctx(), mc.cn.model, mc.faults, mc.c, mc.traces, mc.seed, done, errs[done:end]); err != nil {
+		if err := s.mcRange(t.Ctx(), mc.cn.model, mc.faults, mc.c, traces, mc.seed, done, errs[done:end]); err != nil {
 			return nil, err
 		}
 		done = end

@@ -12,13 +12,21 @@ import (
 // [base, base+len(errs)) into errs, sharded over the server's worker
 // pool via ForCtx: cancellation or deadline stops the shards between
 // chunks and every in-flight chunk is joined before the error returns.
-// Each shard runs fault.MonteCarloRange, whose trial t always draws
-// from rng.NewStream(seed, t), so the result is deterministic for a
-// given seed regardless of pool size, scheduling or the base offset — a
-// resumed campaign is bit-identical to an uninterrupted one.
+// Chunks are whole lane groups (a multiple of fault.BatchLanes trials;
+// only the range's last chunk may be shorter), and each runs
+// BatchPlan.MonteCarloRange on an evaluator borrowed from the model's
+// pool. Trial t always draws from rng.NewStream(seed, t), so the
+// result is deterministic for a given seed regardless of pool size,
+// scheduling or the base offset — a resumed campaign is bit-identical
+// to an uninterrupted one.
 func (s *Server) mcRange(ctx context.Context, net nn.Model, perLayer []int, c float64, traces []*nn.Trace, seed uint64, base int, errs []float64) error {
-	return s.pool.ForCtx(ctx, len(errs), 0, func(lo, hi int) {
-		fault.MonteCarloRange(net, perLayer, c, core.DeviationCap, traces, seed, base+lo, errs[lo:hi])
+	batches := s.batchPool(net)
+	grain := len(errs) / (4 * s.pool.Size())
+	grain = max(fault.BatchLanes, (grain+fault.BatchLanes-1)/fault.BatchLanes*fault.BatchLanes)
+	return s.pool.ForCtx(ctx, len(errs), grain, func(lo, hi int) {
+		bp := batches.Get().(*fault.BatchPlan)
+		bp.MonteCarloRange(perLayer, c, core.DeviationCap, traces, seed, base+lo, errs[lo:hi])
+		batches.Put(bp)
 	})
 }
 
