@@ -11,17 +11,53 @@ import (
 // RandomNeuronPlan fails perLayer[l-1] uniformly chosen neurons in each
 // layer l.
 func RandomNeuronPlan(r *rng.Rand, n nn.Model, perLayer []int) Plan {
+	d := neuronDraw{perm: identityPerm(n)}
+	return Plan{Neurons: d.draw(r, n, perLayer)}
+}
+
+// neuronDraw holds the buffers of RandomNeuronPlan's draw, so a caller
+// drawing many plans reuses them.
+type neuronDraw struct {
+	neurons []NeuronFault
+	pick    []int
+	// perm is the identity index array rng.SampleInto shuffles, as wide
+	// as the model's widest level (identityPerm).
+	perm []int
+}
+
+// draw returns the faults RandomNeuronPlan(r, n, perLayer) draws, in
+// d's buffer: each layer's indices in r.Sample's order.
+func (d *neuronDraw) draw(r *rng.Rand, n nn.Model, perLayer []int) []NeuronFault {
 	if len(perLayer) != n.NumLayers() {
 		panic("fault: perLayer length must equal the number of layers")
 	}
-	var p Plan
+	d.neurons = d.neurons[:0]
 	for l := 1; l <= n.NumLayers(); l++ {
 		k := perLayer[l-1]
-		for _, idx := range r.Sample(n.Width(l), k) {
-			p.Neurons = append(p.Neurons, NeuronFault{Layer: l, Index: idx})
+		if cap(d.pick) < k {
+			d.pick = make([]int, k)
+		}
+		pick := d.pick[:k]
+		r.SampleInto(pick, n.Width(l), d.perm)
+		for _, idx := range pick {
+			d.neurons = append(d.neurons, NeuronFault{Layer: l, Index: idx})
 		}
 	}
-	return p
+	return d.neurons
+}
+
+// identityPerm returns the identity permutation as wide as n's widest
+// level.
+func identityPerm(n nn.Model) []int {
+	w := 0
+	for l := 1; l <= n.NumLayers(); l++ {
+		w = max(w, n.Width(l))
+	}
+	perm := make([]int, w)
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
 }
 
 // OutgoingScorer is an optional Model refinement: models with weight

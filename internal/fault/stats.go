@@ -60,16 +60,12 @@ func (bp *BatchPlan) MonteCarloRange(perLayer []int, c float64, sem core.CapSema
 
 // trialDraw is one lane's reusable Monte Carlo draw: the trial's
 // stream, the value stream split off it, and the buffers its plan and
-// injector live in until the lane's next trial.
+// injector live in until the lane's next trial. The lanes share
+// neuronDraw.perm (they draw one at a time).
 type trialDraw struct {
+	neuronDraw
 	stream, values rng.Rand
 	byz            RandomByzantine
-	neurons        []NeuronFault
-	pick           []int
-	// perm is the identity index array rng.SampleInto shuffles, as wide
-	// as the model's widest level and shared by the evaluator's lanes
-	// (they draw one at a time).
-	perm []int
 }
 
 // draw draws one Monte Carlo trial from r into d: the plan
@@ -77,28 +73,11 @@ type trialDraw struct {
 // random bounded Byzantine values on the stream r.Split() returns —
 // the same draws, in the same order, without allocating.
 func (d *trialDraw) draw(r *rng.Rand, n nn.Model, perLayer []int, c float64, sem core.CapSemantics) (Plan, Injector) {
-	if len(perLayer) != n.NumLayers() {
-		panic("fault: perLayer length must equal the number of layers")
-	}
-	d.neurons = d.neurons[:0]
-	for l := 1; l <= n.NumLayers(); l++ {
-		k := perLayer[l-1]
-		if cap(d.pick) < k {
-			d.pick = make([]int, k)
-		}
-		pick := d.pick[:k]
-		r.SampleInto(pick, n.Width(l), d.perm)
-		for _, idx := range pick {
-			d.neurons = append(d.neurons, NeuronFault{Layer: l, Index: idx})
-		}
-	}
-	plan := Plan{Neurons: d.neurons}
+	plan := Plan{Neurons: d.neuronDraw.draw(r, n, perLayer)}
 	if c == 0 {
 		return plan, Crash{}
 	}
-	seed := r.Uint64()
-	stream := r.Uint64()
-	d.values.Seed(seed, stream)
+	r.SplitInto(&d.values)
 	d.byz = RandomByzantine{C: c, Sem: sem, R: &d.values}
 	return plan, &d.byz
 }
@@ -147,12 +126,7 @@ func (bp *BatchPlan) trialState() *trialLanes {
 		return bp.trials
 	}
 	P := len(bp.lanes)
-	var perm []int
-	for l := 1; l <= bp.m.NumLayers(); l++ {
-		for len(perm) < bp.m.Width(l) {
-			perm = append(perm, len(perm))
-		}
-	}
+	perm := identityPerm(bp.m)
 	mc := &trialLanes{
 		draws: make([]trialDraw, P),
 		plans: make([]Plan, P),

@@ -87,9 +87,16 @@ func (r *Rand) Uint64() uint64 {
 // Split derives a child stream whose sequence is independent from the
 // remainder of the parent's. The parent remains usable.
 func (r *Rand) Split() *Rand {
+	c := &Rand{}
+	r.SplitInto(c)
+	return c
+}
+
+// SplitInto is Split without allocating: it resets c to the child
+// stream Split would return.
+func (r *Rand) SplitInto(c *Rand) {
 	seed := r.Uint64()
-	stream := r.Uint64()
-	return NewStream(seed, stream)
+	c.Seed(seed, r.Uint64())
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -175,17 +182,12 @@ func (r *Rand) Sample(n, k int) []int {
 	if k < 0 || k > n {
 		panic("rng: Sample with k out of range")
 	}
-	// Partial Fisher-Yates over an index array.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		j := i + r.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-		out[i] = idx[i]
-	}
+	r.SampleInto(out, n, idx)
 	return out
 }
 
@@ -199,6 +201,7 @@ func (r *Rand) SampleInto(dst []int, n int, perm []int) {
 	if k > n {
 		panic("rng: SampleInto with k out of range")
 	}
+	// Partial Fisher-Yates over the index array.
 	for i := 0; i < k; i++ {
 		j := i + r.Intn(n-i)
 		perm[i], perm[j] = perm[j], perm[i]

@@ -165,7 +165,7 @@ func BenchmarkMonteCarloSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.shardedMonteCarlo(context.Background(), cn.model, faults, 0, traces, 256, 9); err != nil {
+		if _, err := s.shardedMonteCarlo(context.Background(), cn, faults, 0, traces, 256, 9); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -187,21 +187,7 @@ func (s *Server) storedNetwork(ref string) (*cachedNet, error) {
 		return nil, &httpError{status: 422, msg: fmt.Sprintf("stored network %s: %v", store.ShortID(entry.ID), err)}
 	}
 	s.nets[entry.ID] = cn
-	s.byModel[m] = cn
 	return cn, nil
-}
-
-// batchPool returns the pool of batched evaluators for net: its cache
-// entry's for a stored model, a fresh one for an inline model, which
-// is served uncached.
-func (s *Server) batchPool(net nn.Model) *sync.Pool {
-	s.mu.RLock()
-	cn := s.byModel[net]
-	s.mu.RUnlock()
-	if cn != nil {
-		return &cn.batches
-	}
-	return &sync.Pool{New: func() any { return fault.CompileBatch(net, fault.BatchLanes) }}
 }
 
 // cachedNetworks reports the number of networks currently cached.

@@ -763,7 +763,7 @@ func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	prof, err := s.shardedMonteCarlo(r.Context(), mc.cn.model, mc.faults, mc.c, mc.cleanTraces(), mc.trials, mc.seed)
+	prof, err := s.shardedMonteCarlo(r.Context(), mc.cn, mc.faults, mc.c, mc.cleanTraces(), mc.trials, mc.seed)
 	if err != nil {
 		// The client is gone or the server is draining: there is nobody
 		// to answer, and the partial profile would be wrong anyway.

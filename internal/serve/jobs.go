@@ -280,7 +280,7 @@ func (s *Server) execMonteCarlo(t *jobs.Task) (any, error) {
 		if end > mc.trials {
 			end = mc.trials
 		}
-		if err := s.mcRange(t.Ctx(), mc.cn.model, mc.faults, mc.c, traces, mc.seed, done, errs[done:end]); err != nil {
+		if err := s.mcRange(t.Ctx(), mc.cn, mc.faults, mc.c, traces, mc.seed, done, errs[done:end]); err != nil {
 			return nil, err
 		}
 		done = end

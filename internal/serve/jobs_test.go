@@ -109,14 +109,14 @@ func TestMonteCarloRangeSplitDeterministic(t *testing.T) {
 	const trials = 700
 	faults := []int{1, 1}
 	full := make([]float64, trials)
-	if err := s.mcRange(context.Background(), cn.model, faults, 1, traces, 42, 0, full); err != nil {
+	if err := s.mcRange(context.Background(), cn, faults, 1, traces, 42, 0, full); err != nil {
 		t.Fatal(err)
 	}
 	split := make([]float64, trials)
 	cuts := []int{0, 137, 138, 400, trials}
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
-		if err := s.mcRange(context.Background(), cn.model, faults, 1, traces, 42, lo, split[lo:hi]); err != nil {
+		if err := s.mcRange(context.Background(), cn, faults, 1, traces, 42, lo, split[lo:hi]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/store"
 )
@@ -95,10 +94,6 @@ type Server struct {
 
 	mu   sync.RWMutex
 	nets map[string]*cachedNet // by full store ID
-	// byModel indexes the same entries by model, for the Monte Carlo
-	// sharder, which is handed a model and borrows its entry's batched
-	// evaluators.
-	byModel map[nn.Model]*cachedNet
 }
 
 // Body limits per route class: model-bearing requests carry networks
@@ -119,7 +114,6 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		mcChunk: cfg.JobCheckpointTrials,
 		nets:    map[string]*cachedNet{},
-		byModel: map[nn.Model]*cachedNet{},
 	}
 	if s.mcChunk <= 0 {
 		s.mcChunk = 2048

@@ -270,7 +270,7 @@ func TestMonteCarloCancellation(t *testing.T) {
 	_, traces := cn.standardInputs()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already abandoned before the campaign starts
-	if _, err := s.shardedMonteCarlo(ctx, cn.model, []int{1, 1}, 0, traces, maxTrials, 1); err == nil {
+	if _, err := s.shardedMonteCarlo(ctx, cn, []int{1, 1}, 0, traces, maxTrials, 1); err == nil {
 		t.Fatal("cancelled campaign returned a profile")
 	}
 	// Through the handler: a cancelled request context maps to 499.
