@@ -75,11 +75,12 @@ bench-graph:
 	$(GO) test -run '^$$' -bench 'BenchmarkGraph(Forward|FaultedForward)' -benchtime=20x -benchmem .
 
 # Batched-vs-scalar smoke on the sparse-DAG engine (BENCH_10.json
-# workload): keeps the fused level-scheduled multi-lane path honest —
-# TestGraphBatchSpeedSmoke FAILS if the batched DAG sweep stops clearly
-# beating the scalar one-at-a-time engine (the shape of the lane-by-lane
-# fallback it replaced), or if the two engines disagree bitwise on any
-# lane; the benchmark run prints the current scalar/batched and
+# shape, with faults that make every damaged level whole):
+# keeps the grouped lane kernel honest — TestGraphBatchSpeedSmoke FAILS
+# if the batched DAG sweep stops clearly beating the scalar
+# one-at-a-time engine (the shape of the lane-by-lane fallback it
+# replaced), or if the two engines disagree bitwise on any lane; the
+# benchmark run prints the current row-path scalar/batched and
 # flat/tree exhaustive columns, the campaign-graph Monte Carlo job with
 # its recomputed rows (rows/op), and the row-list vs lane-kernel
 # crossover behind the engine's rowFrac (BENCH_19.json).

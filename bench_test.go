@@ -910,30 +910,39 @@ func TestExhaustiveSpeedSmoke(t *testing.T) {
 // --- batched + pruned graph engine (BENCH_10.json workloads) -------------
 
 // benchGraphBatchFixture is the fixed batched-vs-scalar graph workload:
-// the BENCH_9 past-L2 sparse shape (1024-wide levels, density 0.01 —
-// ~10 in-edges per node) loaded with BatchLanes distinct crash plans, 4
-// faults per level so every lane diverges at level 1 and the whole net
-// recomputes — the regime where the scalar engine re-streams each
-// level's edge list once per plan and the lanes kernel streams it once
-// per batch.
-func benchGraphBatchFixture(tb testing.TB) (*neurofail.GraphNet, []neurofail.Plan, []*nn.Trace) {
+// the BENCH_9 sparse shape (1024-wide levels, density 0.01 — ~10
+// in-edges per node) loaded with BatchLanes distinct crash plans of the
+// given per-level fault counts. With 4,4,4 (BenchmarkGraphBatchedSweep)
+// the row-granular frontier keeps every level under rowFrac, so both
+// engines re-sum only the rows a lane's faults reach, one lane at a
+// time. With graphWholeFaults (TestGraphBatchSpeedSmoke) every damaged
+// level is evaluated whole: the scalar engine re-streams each level's
+// edge list once per plan, the batched engine once per group of lanes
+// in its grouped kernel (tensor.CSR.GatherLanesAddTo).
+func benchGraphBatchFixture(tb testing.TB, faults []int) (*neurofail.GraphNet, []neurofail.Plan, []*nn.Trace) {
 	tb.Helper()
 	g := neurofail.NewSparseGraph(rng.New(1), 8, []int{1024, 1024, 1024}, neurofail.NewSigmoid(1), 0.01)
 	r := rng.New(7)
 	plans := make([]neurofail.Plan, neurofail.BatchLanes)
 	for p := range plans {
-		plans[p] = fault.RandomNeuronPlan(r, g, []int{4, 4, 4})
+		plans[p] = fault.RandomNeuronPlan(r, g, faults)
 	}
 	inputs := metrics.RandomPoints(rng.New(2), 8, 4)
 	return g, plans, fault.CleanTraces(g, inputs)
 }
+
+// graphWholeFaults crashes enough level-1 neurons that levels 2 and 3
+// read damage on more than rowFrac of their rows (~10 readers per
+// node), so every damaged level past level 1, whose own crashes take
+// the copy path, is evaluated whole.
+var graphWholeFaults = []int{96, 4, 4}
 
 // BenchmarkGraphBatchedSweep measures a fixed plans-x-traces crash sweep
 // on the sparse graph: the one-at-a-time scalar engine (the shape of
 // the retired lane-by-lane DAG fallback) vs the fused level-scheduled
 // multi-lane sweep.
 func BenchmarkGraphBatchedSweep(b *testing.B) {
-	g, plans, traces := benchGraphBatchFixture(b)
+	g, plans, traces := benchGraphBatchFixture(b, []int{4, 4, 4})
 	inj := neurofail.Crash()
 	b.Run("scalar", func(b *testing.B) {
 		cps := make([]*neurofail.CompiledPlan, len(plans))
@@ -1093,8 +1102,9 @@ func BenchmarkGraphRowCrossover(b *testing.B) {
 }
 
 // TestGraphBatchSpeedSmoke is the enforced form of the BENCH_10.json
-// acceptance gate (make bench-graph-batch runs it in CI): on the
-// past-L2 sparse shape the fused multi-lane DAG sweep must clearly beat
+// acceptance gate (make bench-graph-batch runs it in CI): where every
+// damaged level of the sparse shape is evaluated whole
+// (graphWholeFaults), the fused multi-lane DAG sweep must clearly beat
 // the one-at-a-time scalar engine — the shape of the lane-by-lane
 // fallback it replaced — and must agree with it bitwise lane for lane
 // before any timing. Same protocol as the other speed smokes:
@@ -1104,7 +1114,23 @@ func TestGraphBatchSpeedSmoke(t *testing.T) {
 	if os.Getenv("NEUROFAIL_BENCH_GRAPH_BATCH") == "" {
 		t.Skip("timing smoke; run via make bench-graph-batch (NEUROFAIL_BENCH_GRAPH_BATCH=1)")
 	}
-	g, plans, traces := benchGraphBatchFixture(t)
+	g, plans, traces := benchGraphBatchFixture(t, graphWholeFaults)
+	for p, plan := range plans {
+		cp := fault.Compile(g, plan)
+		whole := 0
+		for l := 1; l <= g.NumLayers(); l++ {
+			switch n := cp.RecomputedRows(l); n {
+			case 0:
+			case g.Width(l):
+				whole++
+			default:
+				t.Fatalf("plan %d re-sums %d of level %d's %d rows: the fixture left the whole-level regime", p, n, l, g.Width(l))
+			}
+		}
+		if whole == 0 {
+			t.Fatalf("plan %d evaluates no level whole", p)
+		}
+	}
 	inj := neurofail.Crash()
 	cps := make([]*neurofail.CompiledPlan, len(plans))
 	for p, plan := range plans {

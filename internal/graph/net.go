@@ -22,18 +22,20 @@
 // +0/-0 argument tensor.ConvAcc relies on) and graph-native evaluation
 // is bit-identical to the lowered network.
 //
-// # Accumulator-split view
+// # Padded interleaved view
 //
-// Compile stores each level a second time as a tensor.CSR split view:
-// every node's edges are partitioned into four runs, one per
-// accumulator, keeping their ascending column order inside each run
-// (tail edges go last in run 0, since their columns are the largest).
-// A kernel sums run a into accumulator a with no per-edge branch, and
-// each accumulator still sees exactly Dot's additions in Dot's order. A
-// level reading a single source level keeps no per-edge level array,
-// and the multi-lane kernels read that level once per group of four
-// lanes. The Level arrays stay as given: they back InEdge, Weight and
-// the JSON codec.
+// Compile stores each level a second time as a tensor.CSR view: every
+// node's edges are partitioned into four runs, one per accumulator,
+// keeping their ascending column order inside each run (tail edges go
+// last in run 0, since their columns are the largest); the runs are
+// zero-padded to the node's longest run and stored interleaved, edge k
+// of runs 0-3 side by side. A kernel is one loop of four independent
+// multiply-adds, slot 4k+a into accumulator a, with no data-dependent
+// branch inside a row, and each accumulator still sees exactly Dot's
+// nonzero additions in Dot's order (a pad adds ±0, which leaves an
+// accumulator that starts at +0 unchanged). A level reading a single
+// source level keeps no per-slot level array. The Level arrays stay as
+// given: they back InEdge, Weight and the JSON codec.
 package graph
 
 import (
@@ -92,7 +94,7 @@ type levelMeta struct {
 	srcLevels []int // sorted distinct source levels
 	maxW      float64
 	prevOnly  bool        // srcLevels ⊆ {l-1}: LayerSums/OutputSum are valid
-	csr       *tensor.CSR // accumulator-split view of the level's edges
+	csr       *tensor.CSR // padded interleaved view of the level's edges
 }
 
 // level returns level l's CSR block (1 <= l <= L+1).

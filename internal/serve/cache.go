@@ -157,8 +157,8 @@ func (s *Server) network(ref netRef) (*cachedNet, error) {
 	}
 }
 
-// storedNetwork returns the cached serving state for a stored model
-// (dense or conv), loading and indexing it on first use.
+// storedNetwork returns the cached serving state for a stored model,
+// loading and indexing it on first use.
 func (s *Server) storedNetwork(ref string) (*cachedNet, error) {
 	if s.st == nil {
 		return nil, &httpError{status: 503, msg: "no artifact store configured"}
@@ -177,16 +177,24 @@ func (s *Server) storedNetwork(ref string) (*cachedNet, error) {
 	if err != nil {
 		return nil, &httpError{status: 404, msg: err.Error()}
 	}
+	return s.cacheNetwork(entry.ID, m)
+}
+
+// cacheNetwork returns the cached serving state of stored model id,
+// indexing m under id unless an entry exists already. The upload route
+// seeds the cache through it with the model it just parsed, so the
+// first query never re-reads the stored document.
+func (s *Server) cacheNetwork(id string, m nn.Model) (*cachedNet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cn = s.nets[entry.ID]; cn != nil {
+	if cn := s.nets[id]; cn != nil {
 		return cn, nil
 	}
-	cn, err = newCachedNet(entry.ID, m)
+	cn, err := newCachedNet(id, m)
 	if err != nil {
-		return nil, &httpError{status: 422, msg: fmt.Sprintf("stored network %s: %v", store.ShortID(entry.ID), err)}
+		return nil, &httpError{status: 422, msg: fmt.Sprintf("stored network %s: %v", store.ShortID(id), err)}
 	}
-	s.nets[entry.ID] = cn
+	s.nets[id] = cn
 	return cn, nil
 }
 

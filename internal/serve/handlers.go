@@ -215,6 +215,9 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
+	// Seed the cache with the parsed model. A model the cache rejects is
+	// still stored: its queries answer the 422 storedNetwork gives.
+	_, _ = s.cacheNetwork(entry.ID, m)
 	shape := core.ShapeOfModel(m)
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"id":       entry.ID,

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -452,4 +454,77 @@ func TestRunGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server did not shut down")
 	}
+}
+
+// TestUploadSeedsNetworkCache: an upload caches the model it parsed, so
+// the first query loads nothing from the store — the stored document is
+// moved away before it, which would fail a load — and that query
+// answers byte-identically to the same query on a restarted server,
+// which loads the stored document. A duplicate upload keeps the cached
+// entry.
+func TestUploadSeedsNetworkCache(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Server {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mustNew(t, Config{Store: st, Workers: 2})
+		t.Cleanup(s.Close)
+		return s
+	}
+	s := open()
+	for name, m := range map[string]nn.Model{"dense": testNet(2), "skip-graph": testSkipGraph(t)} {
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var up struct {
+			ID string `json:"id"`
+		}
+		if code := do(t, s, "POST", "/v1/networks", string(data), &up); code != 201 {
+			t.Fatalf("%s: upload status %d", name, code)
+		}
+		if code := do(t, s, "POST", "/v1/networks", string(data), nil); code != 201 {
+			t.Fatalf("%s: duplicate upload status %d", name, code)
+		}
+		faults := make([]int, m.NumLayers())
+		faults[0] = 1
+		queries := []struct{ path, body string }{
+			{"/v1/bounds", fmt.Sprintf(`{"network_id":%q,"faults":%s,"c":0.5}`, up.ID, mustJSON(t, faults))},
+			{"/v1/inject", fmt.Sprintf(`{"network_id":%q,"faults":%s,"model":"byzantine","c":0.5}`, up.ID, mustJSON(t, faults))},
+			{"/v1/montecarlo", fmt.Sprintf(`{"network_id":%q,"faults":%s,"c":0.5,"trials":40}`, up.ID, mustJSON(t, faults))},
+		}
+		obj := filepath.Join(dir, "objects", up.ID[:2], up.ID+".json")
+		if err := os.Rename(obj, obj+".away"); err != nil {
+			t.Fatal(err)
+		}
+		first := make([]string, len(queries))
+		for i, q := range queries {
+			rec := doRec(t, s, "POST", q.path, q.body)
+			if rec.Code != 200 {
+				t.Fatalf("%s %s after upload: status %d (a store load?): %s", name, q.path, rec.Code, rec.Body)
+			}
+			first[i] = rec.Body.String()
+		}
+		if err := os.Rename(obj+".away", obj); err != nil {
+			t.Fatal(err)
+		}
+		restarted := open()
+		for i, q := range queries {
+			if rec := doRec(t, restarted, "POST", q.path, q.body); rec.Code != 200 || rec.Body.String() != first[i] {
+				t.Fatalf("%s %s: after upload\n%s\nafter restart (status %d)\n%s", name, q.path, first[i], rec.Code, rec.Body)
+			}
+		}
+	}
+
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

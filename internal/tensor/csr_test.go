@@ -1,13 +1,15 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
 )
 
-// csrCase is a random accumulator-split view with its dense twin:
+// csrCase is a random padded view with its dense twin:
 // dense[r] is row r over the concatenation of the source blocks the
 // view reads (blocks, ascending; block v starts at off[v]).
 type csrCase struct {
@@ -21,7 +23,9 @@ type csrCase struct {
 
 // randomCSR draws rows over blocks of the given widths. Rows cycle
 // through the shapes a kernel can get wrong: random, empty, tail-only
-// (columns >= width&^3), one nonempty run, full, and all -0 weights.
+// (columns >= width&^3), one nonempty run, full, all -0 weights, a
+// single edge, and very unequal runs (run 0 full, run 3 one edge), so
+// pads fill whole runs, part of runs, and none.
 func randomCSR(t testing.TB, r *rng.Rand, widths, blocks []int, rows int, density float64) csrCase {
 	t.Helper()
 	cc := csrCase{widths: widths, blocks: blocks, off: make([]int, len(widths))}
@@ -36,7 +40,8 @@ func randomCSR(t testing.TB, r *rng.Rand, widths, blocks []int, rows int, densit
 	var w []float64
 	for row := 0; row < rows; row++ {
 		d := make([]float64, width)
-		kind := row % 6
+		kind := row % 8
+		single, lone := r.Intn(width), cut-1 // kind 6's edge, kind 7's run-3 edge
 		for col := 0; col < width; col++ {
 			var keep bool
 			switch kind {
@@ -48,6 +53,10 @@ func randomCSR(t testing.TB, r *rng.Rand, widths, blocks []int, rows int, densit
 				keep = col < cut && col&3 == 2
 			case 4:
 				keep = true
+			case 6:
+				keep = col == single
+			case 7:
+				keep = col < cut && col&3 == 0 || col == lone
 			}
 			if !keep {
 				continue
@@ -107,7 +116,8 @@ func (cc *csrCase) concat(src [][]float64) []float64 {
 
 // csrShapes cover one to three source blocks with concatenation widths
 // of every residue mod 4, single-block views reading a block other than
-// 0, and two shapes past csrParallelMin (edges x lanes).
+// 0, and two shapes past the parallel floor of either lane kernel
+// (slots x lanes) from five lanes up.
 var csrShapes = []struct {
 	widths, blocks []int
 	rows           int
@@ -126,10 +136,12 @@ var csrShapes = []struct {
 }
 
 // TestCSRGatherMatchesDot pins every CSR kernel to the dense kernel it
-// replays: lane k of GatherLanesAddTo, and the single-lane Row and
-// RowFlat, must equal tensor.Dot of the dense row
+// replays: lane k of GatherLanesAddTo (the interleaved AVX2 kernel
+// where the CPU has it) and of the portable Go lane kernels, and the
+// single-lane Row and RowFlat, must equal tensor.Dot of the dense row
 // and the lane's concatenated sources (+bias) bit for bit, for lane
-// counts around the four-lane grouping and distinct or aliased sources.
+// counts 1-9 around the four-lane grouping and distinct or aliased
+// sources.
 func TestCSRGatherMatchesDot(t *testing.T) {
 	r := rng.New(13)
 	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
@@ -181,6 +193,13 @@ func TestCSRGatherMatchesDot(t *testing.T) {
 					}
 					cc.c.GatherLanesAddTo(ys, srcs, b)
 					check("GatherLanesAddTo", ys)
+					// The portable Go kernels, which GatherLanesAddTo
+					// runs only without AVX2.
+					for k := range ys {
+						clear(ys[k])
+					}
+					cc.c.gatherLanesRange(ys, srcs, nil, b, 0, sh.rows)
+					check("Go lane kernels", ys)
 				}
 				for k := range srcs {
 					for row := 0; row < sh.rows; row++ {
@@ -223,5 +242,177 @@ func TestNewCSRRejects(t *testing.T) {
 	// run, so columns 5 then 0 (runs 1 and 0) still replay Dot.
 	if _, err := NewCSR([]int{0, 2}, nil, []int{5, 0}, make([]float64, 2), nil, 8); err != nil {
 		t.Errorf("cross-run order rejected: %v", err)
+	}
+}
+
+// TestCSRPaddedLayout pins the layout the kernels rely on: every row
+// owns a multiple of four slots, slot 4k+a holds run a's k-th edge or a
+// +0-weight pad, a row has no more slots than four times its longest
+// run, every slot of a row reads one of the row's own sources, and a
+// multi-block view's slot columns address the concatenation.
+func TestCSRPaddedLayout(t *testing.T) {
+	r := rng.New(17)
+	for _, sh := range csrShapes {
+		cc := randomCSR(t, r, sh.widths, sh.blocks, sh.rows, sh.density)
+		c := cc.c
+		cut := len(cc.dense[0]) &^ 3
+		for row := 0; row < c.Rows; row++ {
+			lo, hi := c.slots(row)
+			if (hi-lo)%4 != 0 {
+				t.Fatalf("%v row %d: %d slots", sh.widths, row, hi-lo)
+			}
+			var runs [4]int
+			for col, w := range cc.dense[row] {
+				if w != 0 || math.Signbit(w) {
+					a := 0
+					if col < cut {
+						a = col & 3
+					}
+					runs[a]++
+				}
+			}
+			if hi-lo != 4*max(runs[0], runs[1], runs[2], runs[3]) {
+				t.Fatalf("%v row %d: %d slots for runs %v", sh.widths, row, hi-lo, runs)
+			}
+			for s := lo; s < hi; s++ {
+				v := c.Level
+				if c.Lvl != nil {
+					v = int(c.Lvl[s])
+				}
+				col := cc.off[v] + int(c.Idx[s])
+				if c.Lvl != nil && int(c.col[s]) != col {
+					t.Fatalf("%v row %d slot %d: column %d, want %d", sh.widths, row, s, c.col[s], col)
+				}
+				if k, a := (s-lo)/4, (s-lo)%4; k >= runs[a] {
+					if math.Float64bits(c.W[s]) != 0 {
+						t.Fatalf("%v row %d slot %d: pad weight %v", sh.widths, row, s, c.W[s])
+					}
+				} else if math.Float64bits(c.W[s]) != math.Float64bits(cc.dense[row][col]) {
+					t.Fatalf("%v row %d slot %d: weight %v, dense %v", sh.widths, row, s, c.W[s], cc.dense[row][col])
+				}
+				if d := cc.dense[row][col]; d == 0 && !math.Signbit(d) {
+					t.Fatalf("%v row %d slot %d reads column %d, not an edge of the row", sh.widths, row, s, col)
+				}
+			}
+		}
+	}
+}
+
+// csrBytes is the memory a view streams: row pointers, indices,
+// weights and per-slot blocks.
+func csrBytes(c *CSR) int {
+	return 4*len(c.Ptr) + 4*len(c.Idx) + 8*len(c.W) + 4*len(c.Lvl) + 4*len(c.col)
+}
+
+// benchCSRShapes are the views the kernel benchmarks run on: rows of
+// perRow distinct random columns of the concatenation.
+var benchCSRShapes = []struct {
+	name         string
+	widths       []int
+	rows, perRow int
+}{
+	{"sparse1024", []int{1024}, 1024, 10}, // sparse1024's level: density 0.01
+	{"skip64", []int{8, 64}, 64, 2},       // a 64-wide small-world level with skip edges
+	{"skip64x4", []int{8, 64, 64}, 64, 4}, // the same with ~4-edge rows over three blocks
+}
+
+// benchCSR builds one benchCSRShapes view with 8 lanes of sources,
+// returning the view, its row pointers over real edges and the sources.
+func benchCSR(b *testing.B, r *rng.Rand, widths []int, rows, perRow int) (*CSR, []int, [][][]float64) {
+	off := make([]int, len(widths))
+	blocks := make([]int, len(widths))
+	width := 0
+	for v, w := range widths {
+		off[v], blocks[v] = width, v
+		width += w
+	}
+	ptr := []int{0}
+	var lvl, idx []int
+	var w []float64
+	for row := 0; row < rows; row++ {
+		cols := r.Sample(width, perRow)
+		sort.Ints(cols)
+		for _, col := range cols {
+			v := len(off) - 1
+			for off[v] > col {
+				v--
+			}
+			lvl, idx, w = append(lvl, v), append(idx, col-off[v]), append(w, r.Range(-1, 1))
+		}
+		ptr = append(ptr, len(w))
+	}
+	if len(widths) == 1 {
+		lvl = nil
+	}
+	c, err := NewCSR(ptr, lvl, idx, w, off, width)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srcs := make([][][]float64, 8)
+	for k := range srcs {
+		srcs[k] = (&csrCase{widths: widths, blocks: blocks}).sources(r)
+	}
+	return c, ptr, srcs
+}
+
+// BenchmarkCSRRowList measures the row path's kernel the way
+// graph.Net.LevelRowSums drives it: Row over sorted lists of 35% of a
+// level's rows (campaign-graph's Monte Carlo job re-sums that share of
+// its last hidden level), cycling through 64 lists so the row sequence
+// is not one the branch predictor can learn. It reports ns per listed
+// row and per edge, stored slots per edge, and the view's bytes.
+func BenchmarkCSRRowList(b *testing.B) {
+	for _, sh := range benchCSRShapes {
+		r := rng.New(3)
+		c, ptr, srcs := benchCSR(b, r, sh.widths, sh.rows, sh.perRow)
+		lists := make([][]int, 64)
+		listed, edges := 0, 0
+		for i := range lists {
+			lists[i] = r.Sample(sh.rows, sh.rows*35/100)
+			sort.Ints(lists[i])
+			for _, row := range lists[i] {
+				listed++
+				edges += ptr[row+1] - ptr[row]
+			}
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			var sink float64
+			for i := 0; i < b.N; i++ {
+				for _, list := range lists {
+					for _, row := range list {
+						sink += c.Row(row, srcs[0])
+					}
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/float64(listed), "ns/row")
+			b.ReportMetric(ns/float64(edges), "ns/edge")
+			b.ReportMetric(float64(len(c.W))/float64(ptr[len(ptr)-1]), "slots/edge")
+			b.ReportMetric(float64(csrBytes(c)), "B/level")
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkCSRGatherLanes measures the grouped lane kernel over a
+// whole level: GatherLanesAddTo for 4 and 8 lanes, reported per lane
+// and per lane-edge.
+func BenchmarkCSRGatherLanes(b *testing.B) {
+	for _, sh := range benchCSRShapes {
+		c, ptr, srcs := benchCSR(b, rng.New(3), sh.widths, sh.rows, sh.perRow)
+		for _, lanes := range []int{4, 8} {
+			ys := make([][]float64, lanes)
+			for k := range ys {
+				ys[k] = make([]float64, sh.rows)
+			}
+			b.Run(fmt.Sprintf("%s/lanes=%d", sh.name, lanes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.GatherLanesAddTo(ys, srcs[:lanes], nil)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*lanes)
+				b.ReportMetric(ns, "ns/lane")
+				b.ReportMetric(ns/float64(ptr[len(ptr)-1]), "ns/edge")
+			})
+		}
 	}
 }

@@ -25,6 +25,7 @@ type mvDispatch struct {
 	ys, xs [][]float64
 	csr    *CSR
 	srcs   [][][]float64
+	xt     []float64
 	run    func(lo, hi int)
 }
 
@@ -37,7 +38,7 @@ var mvPool = sync.Pool{New: func() any {
 		case mvLanes:
 			d.m.mulVecLanesAddRange(d.ys, d.xs, d.b, lo, hi)
 		case mvCSRLanes:
-			d.csr.gatherLanesRange(d.ys, d.srcs, d.b, lo, hi)
+			d.csr.gatherLanesRange(d.ys, d.srcs, d.xt, d.b, lo, hi)
 		}
 	}
 	return d
@@ -48,6 +49,6 @@ var mvPool = sync.Pool{New: func() any {
 func (d *mvDispatch) release() {
 	d.m, d.csr = nil, nil
 	d.y1, d.x1, d.b = nil, nil, nil
-	d.ys, d.xs, d.srcs = nil, nil, nil
+	d.ys, d.xs, d.srcs, d.xt = nil, nil, nil, nil
 	mvPool.Put(d)
 }

@@ -36,11 +36,13 @@ func dispatchFixture(t testing.TB) (run func(), sink *float64) {
 	}
 	xs, ys := lanes(4)
 	xs8, ys8 := lanes(8)
-	// Both views hold over 10000 edges, so 4 lanes pass csrParallelMin;
-	// the single-block view reads the multi-block view's block 0.
-	multi := randomCSR(t, r, []int{300, 100, 100}, []int{0, 1, 2}, 256, 0.15)
-	single := randomCSR(t, r, []int{300}, []int{0}, 256, 0.15)
-	if min(len(multi.c.W), len(single.c.W))*4 < csrParallelMin {
+	// Both views hold over 65536 slots, so 8 lanes pass the parallel
+	// floor on either kernel (csrParallelMin slot-lanes for the Go
+	// kernels, 16 times that for csrGather4); the single-block view
+	// reads the multi-block view's block 0.
+	multi := randomCSR(t, r, []int{1000, 100, 100}, []int{0, 1, 2}, 256, 0.15)
+	single := randomCSR(t, r, []int{1000}, []int{0}, 256, 0.15)
+	if min(len(multi.c.W), len(single.c.W))*8>>4 < csrParallelMin {
 		t.Fatal("CSR fixture below the parallel threshold")
 	}
 	srcs := make([][][]float64, 8)

@@ -39,3 +39,15 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func dot8x4(row []float64, xs *[8][]float64, acc *[32]float64)
+
+// csrGather4 sums rows consecutive rows of a CSR view for four lanes
+// whose sources x interleaves (x[4c+k] is lane k's value at column c),
+// slot s reading column idx[s] with weight w[s], and writes lane k's
+// row i to ys[k][i] (plus b[i] when b is non-nil). Every accumulator
+// adds in Dot's order with unfused multiplies and adds, so each result
+// is bitwise the single-lane kernel's. The caller checks every bound:
+// ptr holds rows+1 slot offsets, every slot's column lies inside x, and
+// every output holds rows entries.
+//
+//go:noescape
+func csrGather4(ptr *int32, rows int, idx *int32, w *float64, x *float64, ys *[4]*float64, b *float64)
