@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-bench cross build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-snapshot bench-pairs fuzz-smoke staticcheck vuln serve-smoke load load-smoke
+.PHONY: ci fmt vet vet-bench cross build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store bench-snapshot bench-pairs fuzz-smoke staticcheck vuln serve-smoke load load-smoke
 
-ci: fmt vet vet-bench cross staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch fuzz-smoke serve-smoke load-smoke
+ci: fmt vet vet-bench cross staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke serve-smoke load-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "$$out"; echo "gofmt: files need formatting"; exit 1; }
@@ -88,6 +88,15 @@ bench-graph-batch:
 	NEUROFAIL_BENCH_GRAPH_BATCH=1 $(GO) test -run 'TestGraphBatchSpeedSmoke' -count=1 -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkGraph(BatchedSweep|Exhaustive|MonteCarlo|RowCrossover)' -benchtime=5x -benchmem .
 
+# Store Put-vs-size smoke: keeps store.Put O(1) in the store size —
+# TestStorePutFlatSmoke FAILS if a Put into a store of 10,000 artifacts
+# costs more than 3x a Put into one of 100, journal folds included; the
+# benchmark run prints Put at 100 / 1,000 / 10,000 existing artifacts
+# at an iteration count that crosses a fold on every size.
+bench-store:
+	NEUROFAIL_BENCH_STORE=1 $(GO) test -run 'TestStorePutFlatSmoke' -count=1 -v ./internal/store
+	$(GO) test -run '^$$' -bench 'BenchmarkStorePut' -benchtime=10000x ./internal/store
+
 # Regenerates a BENCH_N.json skeleton from the gated benchmark suite:
 # runs the acceptance benchmarks, parses the `go test -bench` output,
 # and emits the environment + acceptance stanzas so PR snapshots stop
@@ -112,6 +121,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseModel$$' -fuzztime=10s ./internal/conv
 	$(GO) test -fuzz='^FuzzGraphJSON$$' -fuzztime=10s ./internal/graph
 	$(GO) test -fuzz='^FuzzOpenManifest$$' -fuzztime=10s ./internal/store
+	$(GO) test -fuzz='^FuzzOpenJournal$$' -fuzztime=10s ./internal/store
 
 # Static analysis beyond vet. Skips with a notice when the binary is
 # not on PATH (CI installs it; local runs without it stay usable).

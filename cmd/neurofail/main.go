@@ -450,7 +450,7 @@ func cmdInject(args []string) error {
 	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "neuron faults per layer (ignored with -kernels)")
 	kernels := fs.Int("kernels", 0, "conv models: instead fail the K largest shared kernel values per layer")
-	mode := fs.String("mode", "crash", "fault model name (see 'neurofail models')")
+	mode := fs.String("mode", fault.DefaultModel, "fault model name (see 'neurofail models')")
 	params := paramFlags(fs)
 	fs.Float64Var(&params.Prob, "prob", params.Prob, "failure probability for the intermittent model")
 	adversarial := fs.Bool("adversarial", true, "target heaviest weights (false = random)")
@@ -612,8 +612,8 @@ func cmdMonteCarlo(args []string) error {
 	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer")
 	c := fs.Float64("c", 0, "byzantine capacity (0 = crash failures)")
-	trials := fs.Int("trials", 500, "random configurations to sample")
-	seed := fs.Uint64("seed", 9, "seed")
+	trials := fs.Int("trials", fault.DefaultTrials, "random configurations to sample")
+	seed := fs.Uint64("seed", fault.DefaultTrialSeed, "seed")
 	fs.Parse(args)
 
 	if *c < 0 {
@@ -653,9 +653,9 @@ func cmdWorstCase(args []string) error {
 	fs := flag.NewFlagSet("worstcase", flag.ExitOnError)
 	netPath := fs.String("net", "net.json", "model file (dense, conv or graph)")
 	faultsArg := fs.String("faults", "1", "faults per layer")
-	mode := fs.String("mode", "crash", "deterministic fault model name (see 'neurofail models')")
+	mode := fs.String("mode", fault.DefaultModel, "deterministic fault model name (see 'neurofail models')")
 	params := paramFlags(fs)
-	maxConfigs := fs.Int64("max", 2_000_000, "refuse sweeps with more configurations")
+	maxConfigs := fs.Int64("max", fault.MaxWorstCaseConfigs, "refuse sweeps with more configurations")
 	noPrune := fs.Bool("noprune", false, "disable bound-guided pruning (visit everything)")
 	fs.Parse(args)
 

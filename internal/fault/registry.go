@@ -53,6 +53,22 @@ var DefaultParams = Params{C: 1, Sem: core.DeviationCap, Value: 0.8, Prob: 0.5, 
 // names no seed.
 const DefaultSeed uint64 = 7
 
+// DefaultModel is the fault model a query that names none injects.
+const DefaultModel = "crash"
+
+// DefaultTrials and DefaultTrialSeed size and seed a Monte Carlo
+// profile whose query leaves them unset.
+const (
+	DefaultTrials           = 500
+	DefaultTrialSeed uint64 = 9
+)
+
+// MaxWorstCaseConfigs bounds one exhaustive worst-case sweep. The tree
+// engine prunes, but the worst case is still a full enumeration: the
+// service refuses larger sweeps on every path (split the fault
+// distribution instead), and the CLI's -max defaults to it.
+const MaxWorstCaseConfigs int64 = 2_000_000
+
 // Seeded returns p bound to the model net, with stochastic injectors
 // drawing from the stream seed derives for them — a different stream
 // from rng.New(seed), which a random plan for the same query draws

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/conv"
 	"repro/internal/core"
@@ -24,6 +25,10 @@ import (
 type cachedNet struct {
 	id    string // store ID; "" for inline (unstored) models
 	model nn.Model
+	// used is the server's recency tick at the last cache hit, and hits
+	// counts the hits since the network was cached (see cacheNetwork).
+	used atomic.Uint64
+	hits atomic.Uint32
 
 	shape core.Shape
 	// certs pools bounds scratch around the pricers core.PricerFor
@@ -171,29 +176,99 @@ func (s *Server) storedNetwork(ref string) (*cachedNet, error) {
 	cn := s.nets[entry.ID]
 	s.mu.RUnlock()
 	if cn != nil {
-		return cn, nil
+		return s.touch(cn), nil
 	}
-	m, entry, err := s.st.Model(entry.ID)
+	// A miss loads the model once: requests that miss on it meanwhile
+	// wait for that load instead of parsing the document again (a large
+	// model evicted between campaign phases would otherwise be parsed by
+	// every client at once).
+	s.mu.Lock()
+	if cn := s.nets[entry.ID]; cn != nil {
+		s.mu.Unlock()
+		return s.touch(cn), nil
+	}
+	l := s.loads[entry.ID]
+	if l != nil {
+		s.mu.Unlock()
+		<-l.done
+		return l.cn, l.err
+	}
+	l = &netLoad{done: make(chan struct{})}
+	s.loads[entry.ID] = l
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.loads, entry.ID)
+		s.mu.Unlock()
+		close(l.done)
+	}()
+	m, _, err := s.st.Model(entry.ID)
 	if err != nil {
-		return nil, &httpError{status: 404, msg: err.Error()}
+		l.err = &httpError{status: 404, msg: err.Error()}
+		return nil, l.err
 	}
-	return s.cacheNetwork(entry.ID, m)
+	l.cn, l.err = s.cacheNetwork(entry.ID, m)
+	return l.cn, l.err
+}
+
+// netLoad is one in-flight load of a stored model; done closes once cn
+// and err are set.
+type netLoad struct {
+	done chan struct{}
+	cn   *cachedNet
+	err  error
+}
+
+// maxCachedNets bounds the per-network serving cache. Campaign working
+// sets are a few dozen models; without a bound every upload's model,
+// traces and pools would stay resident for the server's lifetime.
+const maxCachedNets = 64
+
+// touch records a cache hit on cn.
+func (s *Server) touch(cn *cachedNet) *cachedNet {
+	cn.hits.Add(1)
+	cn.used.Store(s.tick.Add(1))
+	return cn
 }
 
 // cacheNetwork returns the cached serving state of stored model id,
 // indexing m under id unless an entry exists already. The upload route
 // seeds the cache through it with the model it just parsed, so the
 // first query never re-reads the stored document.
+//
+// Past maxCachedNets, caching a network evicts one, which reloads from
+// the store on its next query: the least recently used network queried
+// at most once since it was cached, else the least recently used of
+// all. A stream of uploads queried once each (a scan) then recycles its
+// own entries instead of evicting the models queries keep returning to,
+// however long ago their last query was.
 func (s *Server) cacheNetwork(id string, m nn.Model) (*cachedNet, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cn := s.nets[id]; cn != nil {
-		return cn, nil
+		return s.touch(cn), nil
 	}
 	cn, err := newCachedNet(id, m)
 	if err != nil {
 		return nil, &httpError{status: 422, msg: fmt.Sprintf("stored network %s: %v", store.ShortID(id), err)}
 	}
+	if len(s.nets) >= maxCachedNets {
+		var scan, lru *cachedNet
+		for _, c := range s.nets {
+			if lru == nil || c.used.Load() < lru.used.Load() {
+				lru = c
+			}
+			if c.hits.Load() <= 1 && (scan == nil || c.used.Load() < scan.used.Load()) {
+				scan = c
+			}
+		}
+		if scan != nil {
+			lru = scan
+		}
+		// Requests holding the evicted state finish on it undisturbed.
+		delete(s.nets, lru.id)
+	}
+	cn.used.Store(s.tick.Add(1))
 	s.nets[id] = cn
 	return cn, nil
 }

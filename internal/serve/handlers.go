@@ -249,10 +249,11 @@ func checkCap(c *float64) error {
 	return nil
 }
 
-// lookupModel resolves a fault-model name, "crash" when unset.
+// lookupModel resolves a fault-model name, fault.DefaultModel when
+// unset.
 func lookupModel(name string) (fault.Model, error) {
 	if name == "" {
-		name = "crash"
+		name = fault.DefaultModel
 	}
 	model, ok := fault.Lookup(name)
 	if !ok {
@@ -707,14 +708,14 @@ func (s *Server) resolveMonteCarlo(req monteCarloRequest) (mcResolved, error) {
 	}
 	trials := req.Trials
 	if trials == 0 {
-		trials = 500
+		trials = fault.DefaultTrials
 	}
 	if trials < 1 || trials > maxTrials {
 		return mc, badRequest(fmt.Sprintf("trials %d outside [1, %d]", trials, maxTrials))
 	}
 	seed := req.Seed
 	if seed == 0 {
-		seed = 9
+		seed = fault.DefaultTrialSeed
 	}
 	var inputs [][]float64
 	if len(req.Inputs) > 0 {

@@ -47,6 +47,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
@@ -92,8 +93,10 @@ type Server struct {
 	start   time.Time
 	mcChunk int
 
-	mu   sync.RWMutex
-	nets map[string]*cachedNet // by full store ID
+	mu    sync.RWMutex
+	nets  map[string]*cachedNet // by full store ID, at most maxCachedNets
+	loads map[string]*netLoad   // stored models being loaded, by full store ID
+	tick  atomic.Uint64         // recency clock for evicting nets
 }
 
 // Body limits per route class: model-bearing requests carry networks
@@ -114,6 +117,7 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		mcChunk: cfg.JobCheckpointTrials,
 		nets:    map[string]*cachedNet{},
+		loads:   map[string]*netLoad{},
 	}
 	if s.mcChunk <= 0 {
 		s.mcChunk = 2048

@@ -21,12 +21,6 @@ type worstCaseRequest struct {
 	MaxConfigs int64       `json:"max_configs,omitempty"`
 }
 
-// maxWorstConfigs bounds one exhaustive certification request. The tree
-// engine prunes, but the worst case is still a full enumeration; larger
-// sweeps belong in the async job tier (and even there the same cap
-// applies — split the fault distribution instead).
-const maxWorstConfigs = 2_000_000
-
 // wcResolved is a validated exhaustive-certification request: defaults
 // applied, faults resolved against the layer widths, the injector
 // built. Its scalar fields plus the network identity and inputs are
@@ -78,15 +72,15 @@ func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
 		return wc, badRequest("max_configs is negative")
 	}
 	limit := req.MaxConfigs
-	if limit == 0 || limit > maxWorstConfigs {
-		limit = maxWorstConfigs
+	if limit == 0 || limit > fault.MaxWorstCaseConfigs {
+		limit = fault.MaxWorstCaseConfigs
 	}
 	total, err := fault.CountConfigurations(cn.shape.Widths, faults)
 	if err != nil {
 		return wc, badRequest(err.Error())
 	}
 	if total > limit {
-		return wc, badRequest(fmt.Sprintf("%d configurations exceed limit %d (cap %d); lower the fault counts", total, limit, maxWorstConfigs))
+		return wc, badRequest(fmt.Sprintf("%d configurations exceed limit %d (cap %d); lower the fault counts", total, limit, fault.MaxWorstCaseConfigs))
 	}
 	inputs := req.Inputs
 	if len(inputs) > 0 {
@@ -105,7 +99,7 @@ func (s *Server) worstCaseEngine(wc wcResolved) (*fault.WorstCase, error) {
 	return fault.NewWorstCase(wc.cn.model, wc.faults, wc.inputs, fault.WorstCaseOptions{
 		Injector:   wc.inj,
 		Prune:      true,
-		MaxConfigs: maxWorstConfigs,
+		MaxConfigs: fault.MaxWorstCaseConfigs,
 		Pool:       s.pool,
 	})
 }

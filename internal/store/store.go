@@ -8,26 +8,35 @@
 //
 // Layout under the root directory:
 //
-//	<root>/manifest.json                — the index: one Entry per artifact
+//	<root>/manifest.json                — the index snapshot: one Entry per artifact
+//	<root>/manifest.journal             — Entries added since the snapshot, one JSON line each
 //	<root>/objects/<aa>/<id>.json       — the artifact bytes (aa = id[:2])
 //	<root>/objects/<aa>/<id>.entry.json — the artifact's Entry (sidecar)
 //
 // Object files are immutable once written (writes go through a
 // temp-file + rename, so readers never observe partial objects) and are
-// plain JSON, inspectable with jq. The manifest is rewritten atomically
-// on every Put after merging the on-disk index, and Resolve falls back
-// to re-reading it on a miss, so artifacts added by another process
-// (a CLI ingest next to a running server) become visible without a
-// restart. Each object also carries its Entry as a sidecar — the
-// manifest is a derived index, and Rebuild reconstructs it from the
-// object tree if it is ever lost or clobbered.
+// plain JSON, inspectable with jq. A Put costs O(1) in the store size:
+// it writes the object and its sidecar, then appends one line to the
+// journal. The journal is folded into the snapshot on Open and whenever
+// it holds as many records as the snapshot (at least foldMin), so the
+// fold's cost amortises to O(1) per Put. Resolve falls back to the disk
+// on a miss, reading only the journal bytes it has not seen (and the
+// snapshot only when a fold replaced it), so artifacts added by another
+// process (a CLI ingest next to a running server) become visible
+// without a restart; an flock on the journal serialises appends and
+// folds across processes. Each object also carries its Entry as a
+// sidecar — the manifest is a derived index, and Rebuild reconstructs
+// it from the object tree if it is ever lost or clobbered.
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -64,6 +73,12 @@ type manifest struct {
 	Entries []Entry `json:"entries"`
 }
 
+// foldMin is the fewest journal records that trigger a fold; past it a
+// fold waits until the journal holds as many records as the snapshot,
+// so rewriting the snapshot costs O(1) per Put on average. Tests lower
+// it to put folds within reach.
+var foldMin = 256
+
 // Store is an artifact store rooted at one directory. Methods are safe
 // for concurrent use by multiple goroutines.
 type Store struct {
@@ -71,9 +86,24 @@ type Store struct {
 
 	mu      sync.RWMutex
 	entries map[string]Entry
+
+	// snap identifies the manifest.json last read or written (nil when
+	// there is none) and snapEntries counts its entries.
+	snap        os.FileInfo
+	snapEntries int
+	// journalOff is how many journal bytes are merged, journalRecs how
+	// many records they hold, and journalTail how many unterminated
+	// bytes follow them: the torn tail of an append that crashed.
+	journalOff  int64
+	journalRecs int
+	journalTail int64
 }
 
-// Open opens (creating if needed) the store rooted at dir.
+// errCorruptManifest marks a manifest.json that does not parse.
+var errCorruptManifest = errors.New("corrupt manifest")
+
+// Open opens (creating if needed) the store rooted at dir, folding any
+// journal records into the snapshot.
 func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty root directory")
@@ -82,32 +112,32 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{root: dir, entries: map[string]Entry{}}
-	data, err := os.ReadFile(s.manifestPath())
+	j, err := s.lockJournal(lockExclusive)
+	if err != nil {
+		return nil, err
+	}
+	defer j.Close()
+	err = s.mergeLocked(j)
 	switch {
-	case os.IsNotExist(err):
-		// Fresh store — unless the object tree already holds artifacts,
-		// in which case the index was lost: self-heal by rebuilding it
-		// from the objects instead of serving an empty store.
-		if s.hasObjects() {
-			if _, err := s.Rebuild(); err != nil {
-				return nil, err
-			}
+	case errors.Is(err, errCorruptManifest):
+		// A corrupt manifest is recoverable state, not a fatal error:
+		// the object tree is the source of truth, the manifest only a
+		// derived index. Rebuild it, quarantining unreadable objects.
+		if _, err := s.rebuildLocked(j); err != nil {
+			return nil, fmt.Errorf("store: manifest corrupt and rebuild failed: %w", err)
 		}
 	case err != nil:
-		return nil, fmt.Errorf("store: %w", err)
-	default:
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			// A corrupt manifest is recoverable state, not a fatal error:
-			// the object tree is the source of truth, the manifest only a
-			// derived index. Rebuild it, quarantining unreadable objects.
-			if _, err := s.Rebuild(); err != nil {
-				return nil, fmt.Errorf("store: manifest corrupt and rebuild failed: %w", err)
-			}
-			return s, nil
+		return nil, err
+	case s.snap == nil && s.hasObjects():
+		// The object tree holds artifacts but the index was lost:
+		// self-heal by rebuilding it from the objects instead of serving
+		// an empty store.
+		if _, err := s.rebuildLocked(j); err != nil {
+			return nil, err
 		}
-		for _, e := range m.Entries {
-			s.entries[e.ID] = e
+	case s.journalOff > 0 || s.journalTail > 0:
+		if err := s.foldLocked(j); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
@@ -124,6 +154,8 @@ func (s *Store) hasObjects() bool {
 func (s *Store) Root() string { return s.root }
 
 func (s *Store) manifestPath() string { return filepath.Join(s.root, "manifest.json") }
+
+func (s *Store) journalPath() string { return filepath.Join(s.root, "manifest.journal") }
 
 func (s *Store) objectPath(id string) string {
 	return filepath.Join(s.root, "objects", id[:2], id+".json")
@@ -164,11 +196,15 @@ func (s *Store) PutRaw(kind string, data []byte, meta map[string]string) (Entry,
 	if e, ok := s.entries[id]; ok {
 		return e, nil
 	}
-	// Another process may have both stored this artifact and extended
-	// the manifest since we last read it: merge before deciding and
-	// before rewriting, so concurrent stores do not drop each other's
-	// entries.
-	if err := s.mergeManifestLocked(); err != nil {
+	j, err := s.lockJournal(lockExclusive)
+	if err != nil {
+		return Entry{}, err
+	}
+	defer j.Close()
+	// Another process may have both stored this artifact and indexed it
+	// since we last looked: merge before deciding, so the first meta
+	// wins across processes too.
+	if err := s.mergeLocked(j); err != nil {
 		return Entry{}, err
 	}
 	if e, ok := s.entries[id]; ok {
@@ -189,11 +225,42 @@ func (s *Store) PutRaw(kind string, data []byte, meta map[string]string) (Entry,
 	if err := atomicWrite(s.entryPath(id), sidecar); err != nil {
 		return Entry{}, fmt.Errorf("store: %w", err)
 	}
-	s.entries[id] = e
-	if err := s.writeManifestLocked(); err != nil {
+	if err := s.appendLocked(j, e); err != nil {
 		return Entry{}, err
 	}
+	s.entries[id] = e
+	if s.snap == nil || s.journalRecs >= max(foldMin, s.snapEntries) {
+		// The journal already indexes the artifact durably: a failed
+		// fold only defers the snapshot to the next Put or Open.
+		_ = s.foldLocked(j)
+	}
 	return e, nil
+}
+
+// appendLocked appends e to the journal as one line in a single
+// O_APPEND write; s.mu must be held for writing and j locked
+// exclusively, with the journal merged to its end.
+func (s *Store) appendLocked(j *os.File, e Entry) error {
+	line, err := json.Marshal(e)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if s.journalTail > 0 {
+		// Terminate the torn tail so it stays one skipped line instead
+		// of swallowing this record.
+		line = append([]byte{'\n'}, line...)
+	}
+	line = append(line, '\n')
+	if err := crashPoint(j, line); err != nil {
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	if _, err := j.Write(line); err != nil {
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	s.journalOff += s.journalTail + int64(len(line))
+	s.journalRecs++
+	s.journalTail = 0
+	return nil
 }
 
 // Resolve returns the entry for an ID or a unique ID prefix (at least 6
@@ -211,11 +278,11 @@ func (s *Store) Resolve(ref string) (Entry, error) {
 	if err == nil {
 		return e, nil
 	}
-	// The miss may just be staleness: merge the on-disk manifest and
-	// retry once.
+	// The miss may just be staleness: merge the on-disk index and retry
+	// once.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if mergeErr := s.mergeManifestLocked(); mergeErr != nil {
+	if mergeErr := s.refreshLocked(); mergeErr != nil {
 		return Entry{}, mergeErr
 	}
 	return s.resolveLocked(ref)
@@ -243,27 +310,151 @@ func (s *Store) resolveLocked(ref string) (Entry, error) {
 	}
 }
 
-// mergeManifestLocked folds the on-disk manifest into the in-memory
-// index (in-memory entries win on conflict — both name the same
-// immutable bytes); s.mu must be held for writing.
-func (s *Store) mergeManifestLocked() error {
-	data, err := os.ReadFile(s.manifestPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
+// refreshLocked merges the on-disk index under a shared journal lock;
+// s.mu must be held for writing.
+func (s *Store) refreshLocked() error {
+	j, err := s.lockJournal(lockShared)
 	if err != nil {
+		return err
+	}
+	defer j.Close()
+	return s.mergeLocked(j)
+}
+
+// mergeLocked folds the on-disk index into the in-memory one (in-memory
+// entries win on conflict — both name the same immutable bytes). It
+// re-reads manifest.json only when the snapshot changed since it was
+// last seen (a fold or a Rebuild by another handle, which also reset
+// the journal), then the journal bytes past the merged offset. s.mu
+// must be held for writing and j locked.
+func (s *Store) mergeLocked(j *os.File) error {
+	f, err := os.Open(s.manifestPath())
+	switch {
+	case os.IsNotExist(err):
+		s.snap = nil
+	case err != nil:
 		return fmt.Errorf("store: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("store: parsing %s: %w", s.manifestPath(), err)
-	}
-	for _, e := range m.Entries {
-		if _, ok := s.entries[e.ID]; !ok {
-			s.entries[e.ID] = e
+	default:
+		defer f.Close()
+		fi, err := f.Stat()
+		if err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		if !sameSnapshot(fi, s.snap) {
+			data, err := io.ReadAll(f)
+			if err != nil {
+				return fmt.Errorf("store: %w", err)
+			}
+			var m manifest
+			if err := json.Unmarshal(data, &m); err != nil {
+				return fmt.Errorf("store: parsing %s: %w (%w)", s.manifestPath(), errCorruptManifest, err)
+			}
+			for _, e := range m.Entries {
+				if _, ok := s.entries[e.ID]; !ok {
+					s.entries[e.ID] = e
+				}
+			}
+			s.snap, s.snapEntries = fi, len(m.Entries)
+			s.journalOff, s.journalRecs, s.journalTail = 0, 0, 0
 		}
 	}
+	return s.readJournalLocked(j)
+}
+
+// sameSnapshot reports whether fi still describes the snapshot file
+// last seen as seen: every snapshot write is a rename of a fresh file.
+func sameSnapshot(fi, seen os.FileInfo) bool {
+	return seen != nil && os.SameFile(fi, seen) && fi.Size() == seen.Size() && fi.ModTime().Equal(seen.ModTime())
+}
+
+// readJournalLocked merges the journal records past the merged offset.
+// Only newline-terminated lines count: appends run under the exclusive
+// lock, so an unterminated tail is the torn remains of a crashed
+// append, never one in flight. Malformed lines are skipped — the
+// artifact behind a torn record is still recoverable from its sidecar
+// through Rebuild.
+func (s *Store) readJournalLocked(j *os.File) error {
+	fi, err := j.Stat()
+	if err != nil {
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	if fi.Size() < s.journalOff+s.journalTail {
+		// Reset behind our back without a snapshot change: start over
+		// (merging is idempotent).
+		s.journalOff, s.journalRecs, s.journalTail = 0, 0, 0
+	}
+	if fi.Size() == s.journalOff+s.journalTail {
+		return nil
+	}
+	buf := make([]byte, fi.Size()-s.journalOff)
+	n, err := j.ReadAt(buf, s.journalOff)
+	if err != nil && err != io.EOF {
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	buf = buf[:n]
+	done := bytes.LastIndexByte(buf, '\n') + 1
+	for rest := buf[:done]; len(rest) > 0; {
+		i := bytes.IndexByte(rest, '\n')
+		var e Entry
+		if json.Unmarshal(rest[:i], &e) == nil && validID(e.ID) && e.Kind != "" {
+			s.journalRecs++
+			if _, ok := s.entries[e.ID]; !ok {
+				s.entries[e.ID] = e
+			}
+		}
+		rest = rest[i+1:]
+	}
+	s.journalOff += int64(done)
+	s.journalTail = int64(len(buf) - done)
 	return nil
+}
+
+// validID reports whether id is a content address: 64 lowercase hex
+// characters.
+func validID(id string) bool {
+	if len(id) != 64 {
+		return false
+	}
+	for _, c := range id {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// foldLocked writes the in-memory index as the new snapshot and resets
+// the journal. Run right after a merge under the exclusive lock, the
+// index holds every journal record, so no process's record is lost;
+// the journal is reset only once the snapshot is in place. s.mu must be
+// held for writing.
+func (s *Store) foldLocked(j *os.File) error {
+	if err := s.writeManifestLocked(); err != nil {
+		return err
+	}
+	if err := j.Truncate(0); err != nil {
+		return fmt.Errorf("store: journal: %w", err)
+	}
+	s.journalOff, s.journalRecs, s.journalTail = 0, 0, 0
+	s.snap, s.snapEntries = nil, len(s.entries)
+	if fi, err := os.Stat(s.manifestPath()); err == nil {
+		s.snap = fi
+	}
+	return nil
+}
+
+// lockJournal opens the journal (creating it) and takes its flock in
+// the given mode; closing the file releases the lock.
+func (s *Store) lockJournal(how int) (*os.File, error) {
+	j, err := os.OpenFile(s.journalPath(), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if err := flock(j, how); err != nil {
+		j.Close()
+		return nil, fmt.Errorf("store: locking journal: %w", err)
+	}
+	return j, nil
 }
 
 // RebuildReport summarises a manifest reconstruction.
@@ -286,6 +477,18 @@ type RebuildReport struct {
 func (s *Store) Rebuild() (RebuildReport, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	j, err := s.lockJournal(lockExclusive)
+	if err != nil {
+		return RebuildReport{}, err
+	}
+	defer j.Close()
+	return s.rebuildLocked(j)
+}
+
+// rebuildLocked is Rebuild with s.mu held for writing and j locked
+// exclusively. The new snapshot resets the journal: every record in it
+// names an object written before its append, so the scan covers it.
+func (s *Store) rebuildLocked(j *os.File) (RebuildReport, error) {
 	var rep RebuildReport
 	objects, err := filepath.Glob(filepath.Join(s.root, "objects", "*", "*.json"))
 	if err != nil {
@@ -325,10 +528,7 @@ func (s *Store) Rebuild() (RebuildReport, error) {
 	}
 	s.entries = entries
 	rep.Indexed = len(entries)
-	if err := s.writeManifestLocked(); err != nil {
-		return rep, err
-	}
-	return rep, nil
+	return rep, s.foldLocked(j)
 }
 
 // readSidecar loads an entry sidecar, accepting it only when it names
@@ -427,7 +627,7 @@ func (s *Store) List(kind string) []Entry {
 	defer s.mu.Unlock()
 	// Best effort: a damaged manifest should not take listing down with
 	// it — the in-memory index still serves.
-	_ = s.mergeManifestLocked()
+	_ = s.refreshLocked()
 	out := make([]Entry, 0, len(s.entries))
 	for _, e := range s.entries {
 		if kind == "" || e.Kind == kind {
@@ -443,8 +643,8 @@ func (s *Store) List(kind string) []Entry {
 	return out
 }
 
-// writeManifestLocked rewrites the manifest atomically; s.mu must be
-// held for writing.
+// writeManifestLocked writes the in-memory index as manifest.json
+// atomically; s.mu must be held for writing.
 func (s *Store) writeManifestLocked() error {
 	m := manifest{Entries: make([]Entry, 0, len(s.entries))}
 	for _, e := range s.entries {
@@ -473,6 +673,10 @@ func atomicWrite(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
+	if err := crashPoint(tmp, data); err != nil {
+		tmp.Close() // a crashed process leaves its temp file behind
+		return err
+	}
 	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
@@ -491,4 +695,24 @@ func atomicWrite(path string, data []byte) error {
 		return err
 	}
 	return nil
+}
+
+// writeFault, when non-nil, is consulted before each file write the
+// store makes: every atomicWrite and every journal append. A non-nil
+// error crashes that write part-way — half its bytes reach the file (a
+// temp file whose rename then never happens, or a torn journal line)
+// and the write fails with the error. It is a test seam for
+// enumerating crash points and nil otherwise.
+var writeFault func() error
+
+// crashPoint applies writeFault to one write of data to f.
+func crashPoint(f *os.File, data []byte) error {
+	if writeFault == nil {
+		return nil
+	}
+	err := writeFault()
+	if err != nil {
+		f.Write(data[:len(data)/2]) //nolint:errcheck // the crash is the error
+	}
+	return err
 }
