@@ -79,13 +79,17 @@ bench-graph:
 # keeps the grouped lane kernel honest — TestGraphBatchSpeedSmoke FAILS
 # if the batched DAG sweep stops clearly beating the scalar
 # one-at-a-time engine (the shape of the lane-by-lane fallback it
-# replaced), or if the two engines disagree bitwise on any lane; the
-# benchmark run prints the current row-path scalar/batched and
-# flat/tree exhaustive columns, the campaign-graph Monte Carlo job with
-# its recomputed rows (rows/op), and the row-list vs lane-kernel
-# crossover behind the engine's rowFrac (BENCH_19.json).
+# replaced), or if the two engines disagree bitwise on any lane;
+# TestGraphMonteCarloInputLanesSmoke FAILS if the campaign-graph Monte
+# Carlo job over 8 inputs, whose (trial, input) lanes share each
+# trial's plan, stops costing at most 1/1.3 per (trial, input) of the
+# job over 1 input. The benchmark run prints the current row-path
+# scalar/batched and flat/tree exhaustive columns, the campaign-graph
+# Monte Carlo job over 8 inputs and over 1 with its recomputed rows
+# (rows/op), and the row-list vs lane-kernel crossover behind the
+# engine's rowFrac (BENCH_19.json).
 bench-graph-batch:
-	NEUROFAIL_BENCH_GRAPH_BATCH=1 $(GO) test -run 'TestGraphBatchSpeedSmoke' -count=1 -v .
+	NEUROFAIL_BENCH_GRAPH_BATCH=1 $(GO) test -run 'TestGraph(BatchSpeed|MonteCarloInputLanes)Smoke' -count=1 -v .
 	$(GO) test -run '^$$' -bench 'BenchmarkGraph(BatchedSweep|Exhaustive|MonteCarlo|RowCrossover)' -benchtime=5x -benchmem .
 
 # Store Put-vs-size smoke: keeps store.Put O(1) in the store size —

@@ -1019,22 +1019,17 @@ func graphMonteCarloFixture(tb testing.TB) (*neurofail.GraphNet, []int, []*nn.Tr
 }
 
 // BenchmarkGraphMonteCarlo measures one campaign-graph Monte Carlo job
-// (64 trials) on a reused batched evaluator. rows/op is the number of
-// rows a lane re-sums per trace, summed over the levels, and
+// (64 trials) on a reused batched evaluator, over the job's 8 inputs
+// and over its first input alone. The lanes are (trial, input) pairs:
+// with 8 inputs a batch is one trial whose lanes share its plan and its
+// row lists, with 1 input a batch is 8 trials with a plan each, the
+// layout every job ran before inputs became lanes. rows/op is the
+// number of rows a lane re-sums per trace, summed over the levels, and
 // lN-rows-frac the share of level N's rows it re-sums: the work the
 // row-granular damage frontier leaves.
 func BenchmarkGraphMonteCarlo(b *testing.B) {
 	const trials, seed = 64, 111
 	g, faults, traces := graphMonteCarloFixture(b)
-	bp := neurofail.CompileBatch(g, neurofail.BatchLanes)
-	errs := make([]float64, trials)
-	bp.MonteCarloRange(faults, 0, core.DeviationCap, traces, seed, 0, errs) // size the lane state
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bp.MonteCarloRange(faults, 0, core.DeviationCap, traces, seed, i*trials, errs)
-	}
-	b.StopTimer()
 	L := g.NumLayers()
 	rows := make([]float64, L+1)
 	for t := 0; t < trials; t++ {
@@ -1043,12 +1038,95 @@ func BenchmarkGraphMonteCarlo(b *testing.B) {
 			rows[l] += float64(cp.RecomputedRows(l)) / trials
 		}
 	}
-	total := 0.0
-	for l := 1; l <= L; l++ {
-		total += rows[l]
-		b.ReportMetric(rows[l]/float64(g.Width(l)), fmt.Sprintf("l%d-rows-frac", l))
+	for _, n := range []int{len(traces), 1} {
+		b.Run(fmt.Sprintf("inputs=%d", n), func(b *testing.B) {
+			bp := neurofail.CompileBatch(g, neurofail.BatchLanes)
+			errs := make([]float64, trials)
+			bp.MonteCarloRange(faults, 0, core.DeviationCap, traces[:n], seed, 0, errs) // size the lane state
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bp.MonteCarloRange(faults, 0, core.DeviationCap, traces[:n], seed, i*trials, errs)
+			}
+			b.StopTimer()
+			total := 0.0
+			for l := 1; l <= L; l++ {
+				total += rows[l]
+				b.ReportMetric(rows[l]/float64(g.Width(l)), fmt.Sprintf("l%d-rows-frac", l))
+			}
+			b.ReportMetric(total, "rows/op")
+		})
 	}
-	b.ReportMetric(total, "rows/op")
+}
+
+// TestGraphMonteCarloInputLanesSmoke is the enforced form of the
+// inputs-as-lanes gain (make bench-graph-batch runs it in CI): on
+// BenchmarkGraphMonteCarlo's fixture, a job over 8 inputs, whose lanes
+// share each trial's plan and re-sum its row lists in one row-list
+// call, must cost at most 1/1.3 as much per (trial, input) as a job over
+// one input, whose 8 lanes each carry their own plan. Before any timing
+// it checks that every trial's crash error over the 8 inputs equals the
+// largest of its one-input errors. Same protocol as the other speed
+// smokes: interleaved best-of-rounds, armed only under the bench
+// target's env flag.
+func TestGraphMonteCarloInputLanesSmoke(t *testing.T) {
+	if os.Getenv("NEUROFAIL_BENCH_GRAPH_BATCH") == "" {
+		t.Skip("timing smoke; run via make bench-graph-batch (NEUROFAIL_BENCH_GRAPH_BATCH=1)")
+	}
+	const trials, seed = 64, 111
+	g, faults, traces := graphMonteCarloFixture(t)
+	bp := neurofail.CompileBatch(g, neurofail.BatchLanes)
+	all := make([]float64, trials)
+	bp.MonteCarloRange(faults, 0, core.DeviationCap, traces, seed, 0, all)
+	worst := make([]float64, trials)
+	one := make([]float64, trials)
+	for j := range traces {
+		bp.MonteCarloRange(faults, 0, core.DeviationCap, traces[j:j+1], seed, 0, one)
+		for i, e := range one {
+			worst[i] = max(worst[i], e)
+		}
+	}
+	for i := range all {
+		if all[i] != worst[i] {
+			t.Fatalf("trial %d: %v over %d input lanes, %v as the largest one-input error: the shared-plan lanes changed the answer", i, all[i], len(traces), worst[i])
+		}
+	}
+	const (
+		rounds = 6
+		reps   = 3
+	)
+	job := func(n int) func() {
+		return func() { bp.MonteCarloRange(faults, 0, core.DeviationCap, traces[:n], seed, 0, all) }
+	}
+	time1 := func(sweep func()) time.Duration {
+		start := time.Now()
+		for i := 0; i < reps; i++ {
+			sweep()
+		}
+		return time.Since(start)
+	}
+	n := len(traces)
+	eight, single := job(n), job(1)
+	eight() // warm pools and caches
+	single()
+	best8 := time.Duration(math.MaxInt64)
+	best1 := time.Duration(math.MaxInt64)
+	for r := 0; r < rounds; r++ {
+		if d := time1(single); d < best1 {
+			best1 = d
+		}
+		if d := time1(eight); d < best8 {
+			best8 = d
+		}
+	}
+	// Per (trial, input): best8/n against best1/1.
+	ratio := float64(best1) * float64(n) / float64(best8)
+	if ratio < 1.3 {
+		t.Fatalf("%d-input job (best %v/%d reps) costs %.2fx less per (trial, input) than the 1-input job (best %v/%d reps), want >= 1.3x: have shared-plan input lanes regressed?",
+			n, best8, reps, ratio, best1, reps)
+	}
+	t.Logf("per (trial, input): 1 input %v, %d inputs %v (%.2fx), best of %d rounds x %d reps",
+		best1/(reps*trials), n, best8/time.Duration(reps*trials*n), ratio, rounds, reps)
 }
 
 // BenchmarkGraphRowCrossover measures the two ways the batched engine
@@ -1083,7 +1161,7 @@ func BenchmarkGraphRowCrossover(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for p := range dsts {
 					copy(dsts[p], srcs[p][l])
-					g.LevelRowSums(l, dsts[p], srcs[p], rows[p])
+					g.LevelRowSumsLanes(l, dsts[p:p+1], srcs[p:p+1], rows[p])
 					activation.EvalAt(act, dsts[p], rows[p])
 				}
 			}

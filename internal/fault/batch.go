@@ -27,9 +27,10 @@ const BatchLanes = 8
 // of lanes instead of once per plan, which is where the structural
 // speedup over the one-at-a-time engine comes from. A lane whose
 // damage at a level is a short row list (graph models, at most rowFrac
-// of the level) re-sums just those rows on its own instead of joining
-// the batch; with no rows listed it copies the trace outputs and
-// overrides its faulty neurons.
+// of the level) re-sums just those rows instead of joining the batch,
+// in one row-list call with the consecutive lanes that share its plan
+// (ResetShared, the Monte Carlo lane loop's inputs); with no rows
+// listed it copies the trace outputs and overrides its faulty neurons.
 //
 // Per lane the arithmetic replays CompiledPlan.ErrorOnTrace exactly
 // (same kernels, same accumulation order, same fault-application
@@ -40,9 +41,14 @@ const BatchLanes = 8
 // Give each worker its own (the sharded sweeps in measure.go and
 // serve's Monte Carlo do).
 type BatchPlan struct {
-	// m is the model's level view (nn.AsDAG), shared by every lane.
-	m     nn.DAGModel
+	// m is the model's level view (nn.AsDAG), shared by every lane;
+	// rowDAG is the same model when it follows damage row by row.
+	m      nn.DAGModel
+	rowDAG nn.RowDAG
+	// lanes[p] is lane p's compiled plan, one of plans: lanes loaded
+	// with the same plan share one compile.
 	lanes []*CompiledPlan
+	plans []CompiledPlan
 
 	active int
 	sc     nn.BatchScratch
@@ -56,6 +62,8 @@ type BatchPlan struct {
 	srcs   [][][]float64
 	laneOf []int
 	trs    []*nn.Trace
+	// outs backs the output node's per-lane sums.
+	outs []float64
 	// levels[p][v] is lane p's pointer to level v's outputs during a
 	// sweep (entry 0 the input; clean levels alias the lane's trace,
 	// frontier levels the lane's scratch buffer).
@@ -74,26 +82,28 @@ func CompileBatch(m nn.Model, lanes int) *BatchPlan {
 		lanes = BatchLanes
 	}
 	dm := nn.AsDAG(m)
+	rd, _ := dm.(nn.RowDAG)
 	L := m.NumLayers()
 	bp := &BatchPlan{
 		m:      dm,
+		rowDAG: rd,
 		lanes:  make([]*CompiledPlan, lanes),
+		plans:  make([]CompiledPlan, lanes),
 		xs:     make([][]float64, lanes),
 		dsts:   make([][]float64, lanes),
 		srcs:   make([][][]float64, lanes),
 		laneOf: make([]int, lanes),
 		trs:    make([]*nn.Trace, lanes),
+		outs:   make([]float64, lanes),
 		levels: make([][][]float64, lanes),
 	}
-	// One allocation each for the lanes' plans and level arrays: a
-	// serve Monte Carlo chunk builds a batch per few trials.
-	cps := make([]CompiledPlan, lanes)
+	// One allocation for the lanes' level arrays: a serve Monte Carlo
+	// chunk builds a batch per few trials.
 	levels := make([][]float64, lanes*(L+1))
-	rd, _ := dm.(nn.RowDAG)
 	for p := range bp.lanes {
-		cps[p] = CompiledPlan{net: m, dag: dm, rowDAG: rd}
-		cps[p].Reset(Plan{})
-		bp.lanes[p] = &cps[p]
+		bp.plans[p] = CompiledPlan{net: m, dag: dm, rowDAG: rd}
+		bp.plans[p].Reset(Plan{})
+		bp.lanes[p] = &bp.plans[p]
 		bp.levels[p] = levels[p*(L+1) : (p+1)*(L+1)]
 	}
 	bp.sc.Ensure(dm, lanes)
@@ -112,7 +122,8 @@ func (bp *BatchPlan) Reset(plans []Plan) {
 		panic(fmt.Sprintf("fault: BatchPlan.Reset with %d plans for %d lanes", len(plans), len(bp.lanes)))
 	}
 	for p, plan := range plans {
-		bp.lanes[p].Reset(plan)
+		bp.plans[p].Reset(plan)
+		bp.lanes[p] = &bp.plans[p]
 	}
 	bp.active = len(plans)
 }
@@ -120,12 +131,15 @@ func (bp *BatchPlan) Reset(plans []Plan) {
 // ResetShared loads the same plan into n lanes — the input-batching
 // configuration: one plan evaluated against n different traces per
 // call (MaxError's axis, where the plan is fixed and the inputs vary).
+// The plan is compiled once and every lane points at it, so the lanes
+// list the same damaged rows and re-sum them in one row-list call.
 func (bp *BatchPlan) ResetShared(plan Plan, n int) {
 	if n > len(bp.lanes) {
 		panic(fmt.Sprintf("fault: BatchPlan.ResetShared with %d lanes of %d", n, len(bp.lanes)))
 	}
+	bp.plans[0].Reset(plan)
 	for p := 0; p < n; p++ {
-		bp.lanes[p].Reset(plan)
+		bp.lanes[p] = &bp.plans[0]
 	}
 	bp.active = n
 }
@@ -178,24 +192,33 @@ func (bp *BatchPlan) evalLanes(injs []Injector, out []float64) {
 	for l := minD; l <= L; l++ {
 		k := 0
 		lanebufs := bp.sc.Layer(l)
-		for p := 0; p < n; p++ {
+		for p := 0; p < n; {
 			cp := bp.lanes[p]
 			pl := &cp.lv[l]
 			if !pl.dirty() {
+				p++
 				continue
 			}
 			if !pl.whole {
-				// Few rows can differ from the clean trace: re-sum just
-				// those for this lane (the scalar engine's row path)
+				// Few rows can differ from the clean trace: the run of
+				// lanes p..q that share this plan re-sums just those rows
+				// (the scalar engine's row path), in one row-list call,
 				// instead of joining the kernel batch.
-				cp.evalRows(injs[p], act, l, lanebufs[p], bp.levels[p], bp.trs[p].Outputs[l-1])
-				bp.levels[p][l] = lanebufs[p]
+				q := p + 1
+				for q < n && bp.lanes[q] == cp {
+					q++
+				}
+				cp.evalRows(injs[p:q], act, l, lanebufs[p:q], bp.levels[p:q], bp.trs[p:q])
+				for ; p < q; p++ {
+					bp.levels[p][l] = lanebufs[p]
+				}
 				continue
 			}
 			bp.dsts[k] = lanebufs[p]
 			bp.srcs[k] = bp.levels[p]
 			bp.laneOf[k] = p
 			k++
+			p++
 		}
 		if k == 0 {
 			continue
@@ -211,14 +234,28 @@ func (bp *BatchPlan) evalLanes(injs []Injector, out []float64) {
 		}
 	}
 
+	// The output node: on a row-granular model every lane lists its one
+	// row, so all lanes take one row-list call.
+	if bp.rowDAG != nil {
+		for p := 0; p < n; p++ {
+			bp.dsts[p] = bp.outs[p : p+1]
+		}
+		bp.rowDAG.LevelRowSumsLanes(L+1, bp.dsts[:n], bp.levels[:n], outputRow)
+	} else {
+		for p := 0; p < n; p++ {
+			bp.outs[p] = m.OutputSumLevels(bp.levels[p])
+		}
+	}
 	for p := 0; p < n; p++ {
-		cp := bp.lanes[p]
 		ys := bp.levels[p]
-		faulted := m.OutputSumLevels(ys)
-		for _, f := range cp.lv[L+1].synapses {
+		faulted := bp.outs[p]
+		for _, f := range bp.lanes[p].lv[L+1].synapses {
 			sl, si, w := m.InEdge(L+1, f.To, f.From)
 			faulted += injs[p].SynapseDelta(f, w*ys[sl][si])
 		}
 		out[p] = math.Abs(bp.trs[p].Output - faulted)
 	}
 }
+
+// outputRow is the output node's row list.
+var outputRow = []int{0}

@@ -325,6 +325,12 @@ type planEval struct {
 	pairDst [2][]float64
 	pairSrc [2][][]float64
 	pairYs  [2][]float64
+	// rowInj/rowDst/rowSrc/rowTr are the one-lane arguments of
+	// evalRows.
+	rowInj [1]Injector
+	rowDst [1][]float64
+	rowSrc [1][][]float64
+	rowTr  [1]*nn.Trace
 }
 
 func (e *planEval) ensure(m nn.Model) {
@@ -420,7 +426,8 @@ func (cp *CompiledPlan) eval(e *planEval, inj Injector, x []float64, tr *nn.Trac
 				continue
 			}
 			if !pl.whole {
-				cp.evalRows(inj, act, l, sF, ysF, tr.Outputs[l-1])
+				e.rowInj[0], e.rowDst[0], e.rowSrc[0], e.rowTr[0] = inj, sF, ysF, tr
+				cp.evalRows(e.rowInj[:], act, l, e.rowDst[:], e.rowSrc[:], e.rowTr[:])
 				ysF[l] = sF
 				continue
 			}
@@ -478,28 +485,35 @@ func (cp *CompiledPlan) eval(e *planEval, inj Injector, x []float64, tr *nn.Trac
 	return faulted, clean
 }
 
-// evalRows evaluates frontier level l row by row against its clean
-// outputs: it copies them into sF, re-sums and re-activates the listed
-// rows over the damaged sources ys, and applies the level's faults in
+// evalRows evaluates frontier level l row by row for lanes that share
+// this plan: lane k copies its clean outputs, off trace trs[k], into
+// dsts[k], the listed rows are re-summed over every lane's damaged
+// sources srcs[k] in one row-list call, and then each lane in turn
+// re-activates them and applies the level's faults with injs[k] in
 // the whole-level order (synapse deltas on the sums, then neuron
-// overrides), so a stochastic injector draws exactly as it would on the
-// whole level. A row off the list reads only clean nodes and carries no
-// fault, so its sum — every kernel adds in tensor.Dot's order — and
-// output are bitwise the trace's. With no rows listed this is the copy
-// path of a level whose damage is only its own neuron faults.
-func (cp *CompiledPlan) evalRows(inj Injector, act activation.Func, l int, sF []float64, ys [][]float64, clean []float64) {
+// overrides), so a stochastic injector draws exactly as it would on
+// the whole level. A row off the list reads only clean nodes and
+// carries no fault, so its sum — every kernel adds in tensor.Dot's
+// order — and output are bitwise the trace's. With no rows listed this
+// is the copy path of a level whose damage is only its own neuron
+// faults.
+func (cp *CompiledPlan) evalRows(injs []Injector, act activation.Func, l int, dsts [][]float64, srcs [][][]float64, trs []*nn.Trace) {
 	pl := &cp.lv[l]
-	copy(sF, clean)
-	if len(pl.rows) > 0 {
-		cp.rowDAG.LevelRowSums(l, sF, ys, pl.rows)
-	}
-	if len(pl.synapses) > 0 {
-		cp.applySynapses(inj, l, sF, ys)
+	for k, sF := range dsts {
+		copy(sF, trs[k].Outputs[l-1])
 	}
 	if len(pl.rows) > 0 {
-		activation.EvalAt(act, sF, pl.rows)
+		cp.rowDAG.LevelRowSumsLanes(l, dsts, srcs, pl.rows)
 	}
-	cp.overrideNeurons(inj, l, sF, clean)
+	for k, sF := range dsts {
+		if len(pl.synapses) > 0 {
+			cp.applySynapses(injs[k], l, sF, srcs[k])
+		}
+		if len(pl.rows) > 0 {
+			activation.EvalAt(act, sF, pl.rows)
+		}
+		cp.overrideNeurons(injs[k], l, sF, trs[k].Outputs[l-1])
+	}
 }
 
 // applyFaults finishes whole level l in sF: synapse deltas on the

@@ -104,21 +104,33 @@ func TestMonteCarloRangeMatchesScalarReplay(t *testing.T) {
 }
 
 // TestMonteCarloRangeSteadyStateAllocs: on a reused evaluator the Monte
-// Carlo lane loop — draws, plan compiles with their row lists, and the
-// sweep — allocates nothing.
+// Carlo lane loop — draws, plan compiles with their row lists, the
+// lanes' positioned value streams, and the sweep — allocates nothing,
+// with one input per trial (a batch of eight trials) and with eight
+// (a batch per trial, whose shared row lists on the sparse graph go
+// through the row-list lane kernel and, with AVX2, its pooled
+// interleave buffer).
 func TestMonteCarloRangeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool allocates on Get; the contract is measured without the detector")
 	}
 	for _, tc := range mcTestModels() {
-		traces := CleanTraces(tc.m, [][]float64{make([]float64, tc.m.Width(0))})
-		bp := CompileBatch(tc.m, BatchLanes)
-		errs := make([]float64, 19)
-		for _, c := range []float64{0, 0.5} {
-			run := func() { bp.MonteCarloRange(tc.perLayer, c, core.DeviationCap, traces, 13, 0, errs) }
-			run()
-			if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-				t.Errorf("%s c=%v: %v allocs per MonteCarloRange, want 0", tc.name, c, allocs)
+		for _, n := range []int{1, 8} {
+			inputs := make([][]float64, n)
+			r := rng.New(411)
+			for i := range inputs {
+				inputs[i] = make([]float64, tc.m.Width(0))
+				r.Floats(inputs[i], 0, 1)
+			}
+			traces := CleanTraces(tc.m, inputs)
+			bp := CompileBatch(tc.m, BatchLanes)
+			errs := make([]float64, 19)
+			for _, c := range []float64{0, 0.5} {
+				run := func() { bp.MonteCarloRange(tc.perLayer, c, core.DeviationCap, traces, 13, 0, errs) }
+				run()
+				if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+					t.Errorf("%s inputs=%d c=%v: %v allocs per MonteCarloRange, want 0", tc.name, n, c, allocs)
+				}
 			}
 		}
 	}

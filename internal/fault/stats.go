@@ -58,10 +58,9 @@ func (bp *BatchPlan) MonteCarloRange(perLayer []int, c float64, sem core.CapSema
 	})
 }
 
-// trialDraw is one lane's reusable Monte Carlo draw: the trial's
+// trialDraw is the Monte Carlo lane loop's reusable draw: the trial's
 // stream, the value stream split off it, and the buffers its plan and
-// injector live in until the lane's next trial. The lanes share
-// neuronDraw.perm (they draw one at a time).
+// injector live in until the next trial.
 type trialDraw struct {
 	neuronDraw
 	stream, values rng.Rand
@@ -83,40 +82,88 @@ func (d *trialDraw) draw(r *rng.Rand, n nn.Model, perLayer []int, c float64, sem
 }
 
 // sweepTrials is the Monte Carlo lane loop: it sets errs[i] to trial
-// i's largest error over the clean traces, loading bp.Lanes() trials at
-// a time so each level's weights stream once per group of trials.
-// draw(i, d) supplies trial i's plan and injector, built in lane d's
-// buffers, and is called in trial order.
+// i's largest error over the clean traces. Its lanes are (trial, input)
+// pairs in trial-major order, bp.Lanes() to a batch: a trial's lanes
+// share one compiled plan, so they list the same damaged rows and
+// re-sum them in one row-list call, and each level's weights stream
+// once per batch. draw(i, d) supplies trial i's plan and injector,
+// built in draw buffer d, and is called once per trial, in trial
+// order; the trial is compiled then, and its lanes copy what they need
+// of the injector. A one-at-a-time replay evaluates trial i's inputs
+// in order and each evaluation draws once per fault, so lane (i, j)
+// gets the trial's injector positioned F·j draws into its value
+// stream, F the plan's fault count (trialLane.at), and draws exactly
+// what the replay draws.
 func (bp *BatchPlan) sweepTrials(traces []*nn.Trace, errs []float64, draw func(i int, d *trialDraw) (Plan, Injector)) {
 	mc := bp.trialState()
-	P := len(mc.draws)
-	for i := 0; i < len(errs); i += P {
-		lanes := min(P, len(errs)-i)
-		for p := 0; p < lanes; p++ {
-			mc.plans[p], mc.injs[p] = draw(i+p, &mc.draws[p])
-			mc.worst[p] = 0
-		}
-		bp.Reset(mc.plans[:lanes])
-		for _, tr := range traces {
-			bp.ErrorsOnTrace(mc.injs[:lanes], tr, mc.errs[:lanes])
-			for p := 0; p < lanes; p++ {
-				if mc.errs[p] > mc.worst[p] {
-					mc.worst[p] = mc.errs[p]
-				}
+	P := len(bp.lanes)
+	s := 0 // lanes loaded into the current batch
+	flush := func() {
+		bp.active = s
+		bp.evalLanes(mc.injs[:s], mc.errs[:s])
+		for k := 0; k < s; k++ {
+			if i := mc.trial[k]; mc.errs[k] > errs[i] {
+				errs[i] = mc.errs[k]
 			}
 		}
-		copy(errs[i:i+lanes], mc.worst[:lanes])
+		s = 0
+	}
+	for i := range errs {
+		plan, inj := draw(i, &mc.draws[0])
+		errs[i] = 0
+		// A batch holds lanes of at most P consecutive trials, so plan
+		// slot i mod P is not in use, and it stays trial i's while the
+		// trial's lanes fill further batches: a trial is compiled once.
+		cp := &bp.plans[i%P]
+		cp.Reset(plan)
+		F := len(plan.Neurons) + len(plan.Synapses)
+		for j, tr := range traces {
+			bp.lanes[s] = cp
+			bp.trs[s] = tr
+			mc.injs[s] = mc.lanes[s].at(inj, F*j)
+			mc.trial[s] = i
+			if s++; s == P {
+				flush()
+			}
+		}
+	}
+	if s > 0 {
+		flush()
 	}
 }
 
-// trialLanes is the Monte Carlo lane loop's per-lane state: each lane's
-// draw buffers, its current plan and injector, its error on the
-// current trace and its worst error so far.
+// trialLanes is the Monte Carlo lane loop's state: the draw buffer
+// (one: a trial's lanes copy what they need of it when they are
+// loaded), each lane's positioned injector, its trial, and its error
+// on its input.
 type trialLanes struct {
-	draws       []trialDraw
-	plans       []Plan
-	injs        []Injector
-	errs, worst []float64
+	draws []trialDraw
+	lanes []trialLane
+	injs  []Injector
+	trial []int
+	errs  []float64
+}
+
+// trialLane is one lane's copy of its trial's injector.
+type trialLane struct {
+	values rng.Rand
+	byz    RandomByzantine
+}
+
+// at returns inj positioned for an evaluation that starts skip draws
+// into its value stream: a random Byzantine injector becomes a copy on
+// a copy of its stream advanced by skip; an injector that draws
+// nothing is returned as it is.
+func (l *trialLane) at(inj Injector, skip int) Injector {
+	byz, ok := inj.(*RandomByzantine)
+	if !ok {
+		return inj
+	}
+	l.values = *byz.R
+	l.values.Advance(uint64(skip))
+	l.byz = *byz
+	l.byz.R = &l.values
+	return &l.byz
 }
 
 // trialState returns bp's Monte Carlo lane state, allocating it on
@@ -126,17 +173,14 @@ func (bp *BatchPlan) trialState() *trialLanes {
 		return bp.trials
 	}
 	P := len(bp.lanes)
-	perm := identityPerm(bp.m)
 	mc := &trialLanes{
-		draws: make([]trialDraw, P),
-		plans: make([]Plan, P),
+		draws: make([]trialDraw, 1),
+		lanes: make([]trialLane, P),
 		injs:  make([]Injector, P),
+		trial: make([]int, P),
 		errs:  make([]float64, P),
-		worst: make([]float64, P),
 	}
-	for p := range mc.draws {
-		mc.draws[p].perm = perm
-	}
+	mc.draws[0].perm = identityPerm(bp.m)
 	bp.trials = mc
 	return mc
 }

@@ -120,7 +120,9 @@ func TestGraphBatchMatchesScalarAllModels(t *testing.T) {
 // zero-allocation contract to graph models: once compiled and loaded,
 // Reset (row lists included) + a full trace sweep over the
 // level-scheduled lanes path must not allocate — on the skip graph and
-// on a sparse graph whose lanes take the row path.
+// on a sparse graph whose lanes take the row path — and neither must
+// ResetShared, whose lanes share one compiled plan and re-sum its rows
+// in one row-list call, with one input per lane.
 func TestGraphBatchSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-instrumented sync.Pool allocates on Get; the contract is measured without the detector")
@@ -156,6 +158,18 @@ func TestGraphBatchSteadyStateAllocs(t *testing.T) {
 		run()
 		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 			t.Errorf("batched %s graph sweep: %v allocs per run, want 0", c.name, allocs)
+		}
+		laneTraces := make([]*nn.Trace, len(c.plans))
+		for p := range laneTraces {
+			laneTraces[p] = traces[p%len(traces)]
+		}
+		shared := func() {
+			bp.ResetShared(c.plans[0], len(c.plans))
+			bp.ErrorsOnTraces(injs, laneTraces, out)
+		}
+		shared()
+		if allocs := testing.AllocsPerRun(50, shared); allocs != 0 {
+			t.Errorf("shared-plan %s graph sweep: %v allocs per run, want 0", c.name, allocs)
 		}
 	}
 }

@@ -95,6 +95,10 @@ type levelMeta struct {
 	maxW      float64
 	prevOnly  bool        // srcLevels ⊆ {l-1}: LayerSums/OutputSum are valid
 	csr       *tensor.CSR // padded interleaved view of the level's edges
+	// bias is the level's Bias; the output node's always holds one
+	// entry, 0 when the output has no bias, since the output sum
+	// always adds it.
+	bias []float64
 }
 
 // level returns level l's CSR block (1 <= l <= L+1).
@@ -275,6 +279,10 @@ func (n *Net) compileLevel(l int) error {
 		off[v] = width
 		width += n.width(v)
 	}
+	m.bias = lv.Bias
+	if l == len(n.Levels)+1 && m.bias == nil {
+		m.bias = []float64{0}
+	}
 	m.prevOnly = len(m.srcLevels) == 0 || (len(m.srcLevels) == 1 && m.srcLevels[0] == l-1)
 	csr, err := tensor.NewCSR(lv.Ptr, lv.SrcLevel, lv.SrcIdx, lv.W, off, width)
 	if err != nil {
@@ -387,20 +395,16 @@ func (n *Net) Readers(v, i int) []nn.NodeRef {
 	return n.readers[v-1][ptr[i]:ptr[i+1]]
 }
 
-// LevelRowSums computes level l's pre-activation sums at the listed
-// rows only — each row the same csr.Row call plus bias as LevelSums,
-// so every written entry is bit-identical to it.
-func (n *Net) LevelRowSums(l int, dst []float64, ys [][]float64, rows []int) {
+// LevelRowSumsLanes computes, for every lane k, level l's
+// pre-activation sums at the listed rows only into dsts[k] from that
+// lane's per-level outputs srcs[k] — each row the same sum plus bias as
+// LevelSums (tensor.CSR.RowsLanesAddTo), so every written entry is
+// bit-identical to it. l = L+1 is the output node, whose one row adds
+// the output bias as OutputSumLevels does.
+func (n *Net) LevelRowSumsLanes(l int, dsts [][]float64, srcs [][][]float64, rows []int) {
 	n.mustCompile()
-	lv := n.Levels[l-1]
-	csr := n.meta[l-1].csr
-	for _, to := range rows {
-		s := csr.Row(to, ys)
-		if lv.Bias != nil {
-			s += lv.Bias[to]
-		}
-		dst[to] = s
-	}
+	m := &n.meta[l-1]
+	m.csr.RowsLanesAddTo(dsts, srcs, rows, m.bias)
 }
 
 // LevelSumsLanes computes level l's pre-activation sums for every lane
@@ -412,8 +416,8 @@ func (n *Net) LevelRowSums(l int, dst []float64, ys [][]float64, rows []int) {
 // sources.
 func (n *Net) LevelSumsLanes(l int, dsts [][]float64, srcs [][][]float64) {
 	n.mustCompile()
-	lv := n.Levels[l-1]
-	n.meta[l-1].csr.GatherLanesAddTo(dsts, srcs, lv.Bias)
+	m := &n.meta[l-1]
+	m.csr.GatherLanesAddTo(dsts, srcs, m.bias)
 }
 
 // LayerSums is the layered Model kernel; it is only valid for levels
@@ -442,12 +446,7 @@ func (n *Net) LayerSums(l int, dst, y []float64, skip []int) {
 
 // outputBias returns the output node's bias (0 when absent; the output
 // sum always adds it, matching the dense engine's OutputBias).
-func (n *Net) outputBias() float64 {
-	if n.Output.Bias != nil {
-		return n.Output.Bias[0]
-	}
-	return 0
-}
+func (n *Net) outputBias() float64 { return n.meta[len(n.Levels)].bias[0] }
 
 // OutputSum evaluates the linear output node on the last hidden level's
 // outputs; valid only when the output reads nothing but level L.

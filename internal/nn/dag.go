@@ -48,8 +48,10 @@ type DAGModel interface {
 // by node, which rows read it. The fault engines use it to follow
 // damage row by row: a fault disturbs only the rows downstream of it,
 // so a trace evaluation re-sums just those rows and copies the rest
-// from the clean trace. Models without it (the layered view, conv) are
-// followed level by level.
+// from the clean trace. Evaluations that share a fault plan share its
+// row lists, so they re-sum them together as lanes of one call.
+// Models without it (the layered view, conv) are followed level by
+// level.
 type RowDAG interface {
 	DAGModel
 	// Readers returns the nodes that read node i of level v
@@ -57,11 +59,16 @@ type RowDAG interface {
 	// (L+1, 0). The slice is owned by the model; callers must not
 	// mutate it.
 	Readers(v, i int) []NodeRef
-	// LevelRowSums writes level l's pre-activation sums, biases
-	// included, into dst[r] for every r in rows and leaves the other
-	// entries of dst untouched. Each written entry is bit-identical to
-	// the one LevelSums computes over the same sources.
-	LevelRowSums(l int, dst []float64, ys [][]float64, rows []int)
+	// LevelRowSumsLanes writes, for every lane k, level l's
+	// pre-activation sums over lane k's sources srcs[k], biases
+	// included, into dsts[k][r] for every r in rows, and leaves the
+	// other entries of dsts untouched. Each written entry is
+	// bit-identical to the one LevelSums computes over the same
+	// sources. l = L+1 addresses the output node (rows {0}, dsts[k] of
+	// length 1), whose entry is bit-identical to OutputSumLevels. The
+	// lanes share the row list, so the rows' edges stream once per
+	// group of lanes; one lane is the scalar row path.
+	LevelRowSumsLanes(l int, dsts [][]float64, srcs [][][]float64, rows []int)
 }
 
 // NodeRef addresses node Index of level Level.

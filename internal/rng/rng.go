@@ -75,6 +75,38 @@ func (r *Rand) step() {
 	r.stateHi, r.stateLo = hi, lo
 }
 
+// Advance moves r n draws ahead: afterwards it returns what it would
+// have returned after n calls to Uint64. It jumps the LCG in O(log n)
+// steps (Brown, "Random number generation with arbitrary strides",
+// 1994): s_n = M^n s + (M^(n-1) + ... + M + 1) inc, all mod 2^128, with
+// M^n and the sum built by repeated squaring. A cached Gaussian is
+// left as it is, as n Uint64 calls would leave it.
+func (r *Rand) Advance(n uint64) {
+	accHi, accLo := uint64(0), uint64(1) // M^n so far
+	plusHi, plusLo := uint64(0), uint64(0)
+	curHi, curLo := uint64(mulHi), uint64(mulLo)
+	incHi, incLo := r.incHi, r.incLo
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			accHi, accLo = mul128(accHi, accLo, curHi, curLo)
+			plusHi, plusLo = mul128(plusHi, plusLo, curHi, curLo)
+			plusLo, plusHi = add128(plusHi, plusLo, incHi, incLo)
+		}
+		// inc ← (M+1)·inc, M ← M²: the stride doubles.
+		m1Lo, m1Hi := add128(curHi, curLo, 0, 1)
+		incHi, incLo = mul128(m1Hi, m1Lo, incHi, incLo)
+		curHi, curLo = mul128(curHi, curLo, curHi, curLo)
+	}
+	hi, lo := mul128(accHi, accLo, r.stateHi, r.stateLo)
+	r.stateLo, r.stateHi = add128(hi, lo, plusHi, plusLo)
+}
+
+// mul128 returns (aHi,aLo)·(bHi,bLo) mod 2^128 as hi, lo.
+func mul128(aHi, aLo, bHi, bLo uint64) (uint64, uint64) {
+	hi, lo := bits.Mul64(aLo, bLo)
+	return hi + aHi*bLo + aLo*bHi, lo
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
 	r.step()

@@ -399,3 +399,47 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 		t.Fatal("SampleInto consumed a different number of draws than Sample")
 	}
 }
+
+// TestAdvanceMatchesDraws pins the jump-ahead to the plain stream:
+// after Advance(n) a stream returns exactly what a twin returns after
+// n calls to Uint64, on default, custom and split streams, for counts
+// around every power-of-two boundary the squaring loop crosses, and
+// two jumps compose into one.
+func TestAdvanceMatchesDraws(t *testing.T) {
+	streams := map[string]func() *Rand{
+		"default": func() *Rand { return New(5) },
+		"stream":  func() *Rand { return NewStream(77, 1<<40+3) },
+		"split":   func() *Rand { return New(9).Split() },
+	}
+	for name, mk := range streams {
+		for _, n := range []uint64{0, 1, 2, 3, 4, 5, 7, 8, 63, 64, 65, 255, 1000, 4097} {
+			a, b := mk(), mk()
+			a.Advance(n)
+			for i := uint64(0); i < n; i++ {
+				b.Uint64()
+			}
+			for i := 0; i < 4; i++ {
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("%s Advance(%d): draw %d = %d, %d Uint64 calls give %d", name, n, i, x, n, y)
+				}
+			}
+		}
+		a, b := mk(), mk()
+		a.Advance(300)
+		a.Advance(1 << 20)
+		b.Advance(300 + 1<<20)
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("%s: Advance(300) then Advance(2^20) gives %d, Advance(300+2^20) gives %d", name, x, y)
+		}
+	}
+	// A full period is 2^128 draws, so a jump of 2^64 - 1 followed by
+	// one more draw equals a jump of 2^63 twice.
+	a, b := New(3), New(3)
+	a.Advance(math.MaxUint64)
+	a.Uint64()
+	b.Advance(1 << 63)
+	b.Advance(1 << 63)
+	if x, y := a.Uint64(), b.Uint64(); x != y {
+		t.Fatalf("Advance(2^64-1)+1 draw gives %d, Advance(2^63) twice gives %d", x, y)
+	}
+}

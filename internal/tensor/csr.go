@@ -381,8 +381,7 @@ func (c *CSR) checkLanes(op string, ys [][]float64, b []float64) {
 
 // gatherLanesRange is the serial core of GatherLanesAddTo over rows
 // lo..hi. Groups whose sources xt interleaves run csrGather4 over the
-// whole range; the other lanes go rows outer, lane groups inner, so a
-// row's slots stay in L1 across its groups.
+// whole range; the other lanes go through rowsLanes.
 func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, xt, b []float64, lo, hi int) {
 	if lo == hi {
 		return
@@ -392,10 +391,7 @@ func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, xt, b []float
 		if b != nil {
 			bp = &b[lo]
 		}
-		cols := c.Idx
-		if c.Lvl != nil {
-			cols = c.col
-		}
+		cols := c.cols()
 		xw := c.xwidth()
 		k := 0
 		for ; k+4 <= len(ys); k += 4 {
@@ -404,29 +400,113 @@ func (c *CSR) gatherLanesRange(ys [][]float64, srcs [][][]float64, xt, b []float
 		}
 		ys, srcs = ys[k:], srcs[k:]
 	}
-	v := c.Level
-	for r := lo; r < hi; r++ {
-		k := 0
-		if c.Lvl == nil {
-			for ; k+4 <= len(ys); k += 4 {
-				ys[k][r], ys[k+1][r], ys[k+2][r], ys[k+3][r] = c.rowFlat4(r, srcs[k][v], srcs[k+1][v], srcs[k+2][v], srcs[k+3][v])
-			}
-		} else {
-			for ; k+4 <= len(ys); k += 4 {
-				ys[k][r], ys[k+1][r], ys[k+2][r], ys[k+3][r] = c.row4(r, srcs[k], srcs[k+1], srcs[k+2], srcs[k+3])
-			}
-		}
-		for ; k < len(ys); k++ {
-			ys[k][r] = c.Row(r, srcs[k])
-		}
-		addBias(ys, b, r)
-	}
+	c.rowsLanes(ys, srcs, b, nil, lo, hi)
 }
 
-func addBias(ys [][]float64, b []float64, r int) {
-	if b != nil {
-		for k := range ys {
-			ys[k][r] += b[r]
+// RowsLanesAddTo computes, for every listed row r and every lane k,
+//
+//	ys[k][r] = Row(r, srcs[k]) (+ b[r])
+//
+// bitwise, and leaves the other entries of ys untouched: the row-list
+// form of GatherLanesAddTo. Four lanes go through a row's slots per
+// pass. With AVX2 and at least four lanes, when the listed rows hold at
+// least as many slots as a lane's interleaved sources are wide, each
+// whole group of four lanes is interleaved once and every listed row
+// runs csrGather4; on shorter lists the interleave costs more than it
+// saves. b may be nil. Outputs must not alias any source.
+func (c *CSR) RowsLanesAddTo(ys [][]float64, srcs [][][]float64, rows []int, b []float64) {
+	if len(ys) != len(srcs) {
+		panic(fmt.Sprintf("tensor: RowsLanesAddTo %d outputs for %d lanes", len(ys), len(srcs)))
+	}
+	c.checkLanes("RowsLanesAddTo", ys, b)
+	if len(ys) == 0 || len(rows) == 0 {
+		return
+	}
+	if hasAVX2 && len(ys) >= 4 && len(c.W) > 0 {
+		if xw := c.xwidth(); c.listedSlots(rows) >= xw {
+			buf := c.interleave(srcs)
+			xt, cols := *buf, c.cols()
+			k := 0
+			for ; k+4 <= len(ys); k += 4 {
+				x := &xt[k*xw]
+				for _, r := range rows {
+					out := [4]*float64{&ys[k][r], &ys[k+1][r], &ys[k+2][r], &ys[k+3][r]}
+					var bp *float64
+					if b != nil {
+						bp = &b[r]
+					}
+					csrGather4(&c.Ptr[r], 1, &cols[0], &c.W[0], x, &out, bp)
+				}
+			}
+			interleavePool.Put(buf)
+			ys, srcs = ys[k:], srcs[k:]
+		}
+	}
+	c.rowsLanes(ys, srcs, b, rows, 0, len(rows))
+}
+
+// listedSlots returns the number of slots the listed rows own.
+func (c *CSR) listedSlots(rows []int) int {
+	n := 0
+	for _, r := range rows {
+		n += int(c.Ptr[r+1] - c.Ptr[r])
+	}
+	return n
+}
+
+// cols returns each slot's column in the concatenation, the addresses
+// csrGather4 reads the interleaved sources at.
+func (c *CSR) cols() []int32 {
+	if c.Lvl != nil {
+		return c.col
+	}
+	return c.Idx
+}
+
+// rowsLanes is the Go kernels' lane loop: it sets ys[k][r] to
+// Row(r, srcs[k]) (+ b[r]) for every lane k and every row r =
+// rows[i], i in lo..hi, or r = i when rows is nil. Whole groups of four
+// lanes go rows outer, each row's slots loaded once for the group
+// (rowFlat4/row4); the leftover lanes then go one at a time over the
+// rows, so the single-lane row path is one tight loop.
+func (c *CSR) rowsLanes(ys [][]float64, srcs [][][]float64, b []float64, rows []int, lo, hi int) {
+	v, flat := c.Level, c.Lvl == nil
+	n4 := len(ys) &^ 3
+	for i := lo; i < hi && n4 > 0; i++ {
+		r := i
+		if rows != nil {
+			r = rows[i]
+		}
+		for k := 0; k < n4; k += 4 {
+			var y0, y1, y2, y3 float64
+			if flat {
+				y0, y1, y2, y3 = c.rowFlat4(r, srcs[k][v], srcs[k+1][v], srcs[k+2][v], srcs[k+3][v])
+			} else {
+				y0, y1, y2, y3 = c.row4(r, srcs[k], srcs[k+1], srcs[k+2], srcs[k+3])
+			}
+			if b != nil {
+				y0, y1, y2, y3 = y0+b[r], y1+b[r], y2+b[r], y3+b[r]
+			}
+			ys[k][r], ys[k+1][r], ys[k+2][r], ys[k+3][r] = y0, y1, y2, y3
+		}
+	}
+	for k := n4; k < len(ys); k++ {
+		y, src := ys[k], srcs[k]
+		for i := lo; i < hi; i++ {
+			r := i
+			if rows != nil {
+				r = rows[i]
+			}
+			var s float64
+			if flat {
+				s = c.RowFlat(r, src[v])
+			} else {
+				s = c.Row(r, src)
+			}
+			if b != nil {
+				s += b[r]
+			}
+			y[r] = s
 		}
 	}
 }

@@ -221,6 +221,72 @@ func TestCSRGatherMatchesDot(t *testing.T) {
 	}
 }
 
+// TestCSRRowsLanesMatchesRow pins the row-list lane kernel to the
+// single-lane Row plus bias, bit for bit: for lane counts 1-9, on
+// single- and multi-block views, over empty, single-row, random and
+// full row lists, with and without a bias, and with the AVX2 kernel
+// switched off once so the Go path runs too. Rows off the list must
+// keep their previous bits.
+func TestCSRRowsLanesMatchesRow(t *testing.T) {
+	r := rng.New(19)
+	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
+	sentinel := math.Float64frombits(0x7ff8dead0000beef)
+	avx2 := hasAVX2
+	defer func() { hasAVX2 = avx2 }()
+	for _, sh := range csrShapes {
+		cc := randomCSR(t, r, sh.widths, sh.blocks, sh.rows, sh.density)
+		bias := make([]float64, sh.rows)
+		r.Floats(bias, -1, 1)
+		srcs := make([][][]float64, 9)
+		for k := range srcs {
+			srcs[k] = cc.sources(r)
+		}
+		full := make([]int, sh.rows)
+		for row := range full {
+			full[row] = row
+		}
+		random := r.Sample(sh.rows, sh.rows/3)
+		sort.Ints(random)
+		lists := map[string][]int{"empty": {}, "single": {sh.rows / 2}, "random": random, "full": full}
+		for _, kernel := range []bool{avx2, false} {
+			hasAVX2 = kernel
+			for lanes := 1; lanes <= 9; lanes++ {
+				for name, rows := range lists {
+					for _, b := range [][]float64{bias, nil} {
+						ys := make([][]float64, lanes)
+						for k := range ys {
+							ys[k] = make([]float64, sh.rows)
+							for row := range ys[k] {
+								ys[k][row] = sentinel
+							}
+						}
+						cc.c.RowsLanesAddTo(ys, srcs[:lanes], rows, b)
+						listed := make([]bool, sh.rows)
+						for _, row := range rows {
+							listed[row] = true
+						}
+						for k := range ys {
+							for row, got := range ys[k] {
+								want := sentinel
+								if listed[row] {
+									want = cc.c.Row(row, srcs[k])
+									if b != nil {
+										want += b[row]
+									}
+								}
+								if !same(got, want) {
+									t.Fatalf("%v/%v avx2=%v lanes=%d %s list nil-bias=%v lane %d row %d: %v, want %v",
+										sh.widths, sh.blocks, kernel, lanes, name, b == nil, k, row, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestNewCSRRejects covers the constructor's checks: a run whose
 // columns do not ascend and a column outside the concatenation.
 func TestNewCSRRejects(t *testing.T) {
@@ -356,11 +422,12 @@ func benchCSR(b *testing.B, r *rng.Rand, widths []int, rows, perRow int) (*CSR, 
 }
 
 // BenchmarkCSRRowList measures the row path's kernel the way
-// graph.Net.LevelRowSums drives it: Row over sorted lists of 35% of a
-// level's rows (campaign-graph's Monte Carlo job re-sums that share of
-// its last hidden level), cycling through 64 lists so the row sequence
-// is not one the branch predictor can learn. It reports ns per listed
-// row and per edge, stored slots per edge, and the view's bytes.
+// graph.Net.LevelRowSumsLanes drives it: RowsLanesAddTo over sorted
+// lists of 35% of a level's rows (campaign-graph's Monte Carlo job
+// re-sums that share of its last hidden level) for 1, 4 and 8 lanes,
+// cycling through 64 lists so the row sequence is not one the branch
+// predictor can learn. It reports ns per listed row and per edge, each
+// per lane, stored slots per edge, and the view's bytes.
 func BenchmarkCSRRowList(b *testing.B) {
 	for _, sh := range benchCSRShapes {
 		r := rng.New(3)
@@ -375,22 +442,24 @@ func BenchmarkCSRRowList(b *testing.B) {
 				edges += ptr[row+1] - ptr[row]
 			}
 		}
-		b.Run(sh.name, func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				for _, list := range lists {
-					for _, row := range list {
-						sink += c.Row(row, srcs[0])
+		for _, lanes := range []int{1, 4, 8} {
+			ys := make([][]float64, lanes)
+			for k := range ys {
+				ys[k] = make([]float64, sh.rows)
+			}
+			b.Run(fmt.Sprintf("%s/lanes=%d", sh.name, lanes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, list := range lists {
+						c.RowsLanesAddTo(ys, srcs[:lanes], list, nil)
 					}
 				}
-			}
-			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-			b.ReportMetric(ns/float64(listed), "ns/row")
-			b.ReportMetric(ns/float64(edges), "ns/edge")
-			b.ReportMetric(float64(len(c.W))/float64(ptr[len(ptr)-1]), "slots/edge")
-			b.ReportMetric(float64(csrBytes(c)), "B/level")
-			_ = sink
-		})
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N*lanes)
+				b.ReportMetric(ns/float64(listed), "ns/row")
+				b.ReportMetric(ns/float64(edges), "ns/edge")
+				b.ReportMetric(float64(len(c.W))/float64(ptr[len(ptr)-1]), "slots/edge")
+				b.ReportMetric(float64(csrBytes(c)), "B/level")
+			})
+		}
 	}
 }
 
