@@ -327,6 +327,55 @@ func TestMemoKeysStable(t *testing.T) {
 	}
 }
 
+// TestJobResultsPinned pins the content address of the job result for
+// every memoPinRequests kind but experiments (its records carry elapsed
+// times), and checks each result against the matching sync route's
+// answer, worst case minus its visited/pruned counters. A memoized
+// result stays addressable only while its document encodes to the same
+// bytes.
+func TestJobResultsPinned(t *testing.T) {
+	s, id := jobServer(t, Config{})
+	want := map[string]string{
+		jobKindEval:       "da9c1324f1060227cf2763a944d29d68993bb72cd78db83b2a593134a1a90436",
+		jobKindBounds:     "a681dd7e1cbcb401259d337aaed2dd2d97744960df387bbde6cb87f94841a183",
+		jobKindInject:     "ebc8a1895243d9afccf39ae4950f9172f6cb385357918fb3decc2f73a9c51e80",
+		jobKindMonteCarlo: "99f77e7e13b1bd409e92677b15c9e68d45e963532cd69f853f40cc392e6844ef",
+		jobKindWorstCase:  "6e091ee921197139b451dd973d181a4bcc002a470ac554c301f8f23d0ce0975b",
+	}
+	for _, tc := range memoPinRequests(id) {
+		if tc.kind == jobKindExperiments {
+			continue
+		}
+		jr, rec := submitJob(t, s, tc.kind, tc.request)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d: %s", tc.kind, rec.Code, rec.Body.Bytes())
+		}
+		final := pollJob(t, s, jr.ID, func(r jobs.Record) bool { return r.State.Terminal() })
+		if final.State != jobs.StateDone {
+			t.Fatalf("%s: job ended %s (%s)", tc.kind, final.State, final.Error)
+		}
+		if final.ResultID != want[tc.kind] {
+			t.Errorf("%s result ID %s, want %s", tc.kind, final.ResultID, want[tc.kind])
+		}
+		res := doRec(t, s, "GET", "/v1/jobs/"+jr.ID+"/result", nil)
+		if res.Code != http.StatusOK {
+			t.Fatalf("%s: result status %d: %s", tc.kind, res.Code, res.Body.Bytes())
+		}
+		var async, sync map[string]any
+		if err := json.Unmarshal(res.Body.Bytes(), &async); err != nil {
+			t.Fatal(err)
+		}
+		if code := do(t, s, "POST", "/v1/"+tc.kind, tc.request, &sync); code != http.StatusOK {
+			t.Fatalf("%s: sync status %d: %v", tc.kind, code, sync)
+		}
+		delete(sync, "visited")
+		delete(sync, "pruned")
+		if !reflect.DeepEqual(async, sync) {
+			t.Errorf("%s: job result differs from the sync answer:\n%v\nvs\n%v", tc.kind, async, sync)
+		}
+	}
+}
+
 // TestJobBodyLimit: control-plane routes cap their request bodies; an
 // oversized document is 413, not an async failure.
 func TestJobBodyLimit(t *testing.T) {
