@@ -495,12 +495,7 @@ func cmdInject(args []string) error {
 		bound = q.pricer.Fep(q.faults, dev)
 	}
 	inputs := metrics.StandardInputs(q.m.Width(0))
-	var measured float64
-	if model.Deterministic {
-		measured = fault.MaxError(q.m, plan, inj, inputs)
-	} else {
-		measured = fault.MaxErrorSeq(q.m, plan, inj, inputs)
-	}
+	measured := fault.Compile(q.m, plan).MaxErrorOnTraces(inj, fault.CleanTraces(q.m, inputs), model.Deterministic)
 	fmt.Printf("plan: %d neuron + %d synapse failures on a %s model (%s)\n",
 		len(plan.Neurons), len(plan.Synapses), conv.ArchOf(q.m), model.Name)
 	fmt.Printf("model: %s\n", model.Description)

@@ -53,6 +53,27 @@ func MaxErrorSeq(n nn.Model, p Plan, inj Injector, inputs [][]float64) float64 {
 	return worst
 }
 
+// MaxErrorOnTraces returns the largest |Fneu - Ffail| of the compiled
+// plan over the inputs whose clean traces are given: only the damaged
+// sweeps run. A deterministic injector (safe for concurrent use) is
+// measured over the traces in parallel; a stateful one runs through
+// them in order, so its draws are reproducible for a given seed. It is
+// the one inject measurement of the CLI and the query service.
+func (cp *CompiledPlan) MaxErrorOnTraces(inj Injector, traces []*nn.Trace, deterministic bool) float64 {
+	if deterministic {
+		return parallel.MaxFloat64(len(traces), func(i int) float64 {
+			return cp.ErrorOnTrace(inj, traces[i])
+		})
+	}
+	worst := 0.0
+	for _, tr := range traces {
+		if e := cp.ErrorOnTrace(inj, tr); e > worst {
+			worst = e
+		}
+	}
+	return worst
+}
+
 // WorstSignError searches all 2^k sign assignments of the plan's Byzantine
 // deviations (k = #neuron faults + #synapse faults) and returns the
 // largest error over the inputs. It refuses plans with more than

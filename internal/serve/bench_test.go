@@ -165,9 +165,11 @@ func BenchmarkMonteCarloSharded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.shardedMonteCarlo(context.Background(), cn, faults, 0, traces, 256, 9); err != nil {
+		errs := make([]float64, 256)
+		if err := s.mcRange(context.Background(), cn, faults, 0, traces, 9, 0, errs); err != nil {
 			b.Fatal(err)
 		}
+		fault.ProfileOf(errs)
 	}
 }
 

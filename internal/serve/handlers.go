@@ -12,8 +12,8 @@ import (
 	"repro/internal/conv"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/jobs"
 	"repro/internal/nn"
-	"repro/internal/parallel"
 	"repro/internal/quant"
 	"repro/internal/rng"
 	"repro/internal/store"
@@ -29,18 +29,24 @@ func (e *httpError) Error() string { return e.msg }
 
 func badRequest(msg string) *httpError { return &httpError{status: http.StatusBadRequest, msg: msg} }
 
-// writeJSON writes v as the JSON response body.
+// writeJSON writes v as the compact JSON response body. Stored
+// artifacts stay indented: the store encodes them itself.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(v) //nolint:errcheck // the client is gone if this fails
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // the client is gone if this fails
 }
 
-// writeError writes the service's uniform error envelope.
+// errorResponse is the service's uniform error envelope. State is set
+// only on a result request for a job that has none yet.
+type errorResponse struct {
+	Error string     `json:"error"`
+	State jobs.State `json:"state,omitempty"`
+}
+
+// writeError writes the error envelope.
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
+	writeJSON(w, status, errorResponse{Error: msg})
 }
 
 // fail maps an error to its HTTP response.
@@ -52,28 +58,32 @@ func fail(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusInternalServerError, err.Error())
 }
 
-// decode parses the request body strictly: unknown fields, trailing
-// data and type mismatches are client errors; a body exceeding the
-// route's limit is 413.
-func decode(r *http.Request, v any) error {
+// readBody reads the request body: a body exceeding the route's limit
+// is 413, any other read failure 400.
+func readBody(r *http.Request) ([]byte, error) {
 	data, err := io.ReadAll(r.Body)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
+			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
 				msg: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit)}
 		}
-		return badRequest(fmt.Sprintf("reading body: %v", err))
+		return nil, badRequest(fmt.Sprintf("reading body: %v", err))
 	}
-	if err := strictUnmarshal(data, v); err != nil {
+	return data, nil
+}
+
+// decode parses the request body strictly: unknown fields, trailing
+// data and type mismatches are client errors.
+func decode(r *http.Request, v any) error {
+	data, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	if err := nn.StrictUnmarshal(data, v); err != nil {
 		return badRequest(err.Error())
 	}
 	return nil
-}
-
-// strictUnmarshal rejects unknown fields and trailing garbage.
-func strictUnmarshal(data []byte, v any) error {
-	return nn.StrictUnmarshal(data, v)
 }
 
 // netRef selects the network a query runs against: a store ID (cached
@@ -140,20 +150,30 @@ func (f *faultSpec) resolve(widths []int) ([]int, error) {
 
 // ---- GET /healthz ----
 
+type healthResponse struct {
+	Status         string  `json:"status"`
+	UptimeSeconds  float64 `json:"uptime_seconds"`
+	CachedNetworks int     `json:"cached_networks"`
+	// StoredNetworks is -1 without a store.
+	StoredNetworks int         `json:"stored_networks"`
+	Workers        int         `json:"workers"`
+	Jobs           *jobs.Stats `json:"jobs,omitempty"`
+}
+
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	stored := -1
-	if s.st != nil {
-		stored = len(s.st.Models())
+	resp := healthResponse{
+		Status:         "ok",
+		UptimeSeconds:  time.Since(s.start).Seconds(),
+		CachedNetworks: s.cachedNetworks(),
+		StoredNetworks: -1,
+		Workers:        s.pool.Size(),
 	}
-	resp := map[string]any{
-		"status":          "ok",
-		"uptime_seconds":  time.Since(s.start).Seconds(),
-		"cached_networks": s.cachedNetworks(),
-		"stored_networks": stored,
-		"workers":         s.pool.Size(),
+	if s.st != nil {
+		resp.StoredNetworks = len(s.st.Models())
 	}
 	if s.jobs != nil {
-		resp["jobs"] = s.jobs.Stats()
+		st := s.jobs.Stats()
+		resp.Jobs = &st
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -187,7 +207,9 @@ func (s *Server) handleListNetworks(w http.ResponseWriter, r *http.Request) {
 			Created: e.Created, Bytes: e.Bytes, Meta: e.Meta,
 		})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"networks": infos})
+	writeJSON(w, http.StatusOK, struct {
+		Networks []networkInfo `json:"networks"`
+	}{infos})
 }
 
 // ---- POST /v1/networks ----
@@ -197,9 +219,9 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "no artifact store configured")
 		return
 	}
-	data, err := io.ReadAll(r.Body)
+	data, err := readBody(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
+		fail(w, err)
 		return
 	}
 	// Any model document is accepted: untagged dense networks and
@@ -218,14 +240,21 @@ func (s *Server) handleUploadNetwork(w http.ResponseWriter, r *http.Request) {
 	// Seed the cache with the parsed model. A model the cache rejects is
 	// still stored: its queries answer the 422 storedNetwork gives.
 	_, _ = s.cacheNetwork(entry.ID, m)
-	shape := core.ShapeOfModel(m)
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"id":       entry.ID,
-		"short_id": store.ShortID(entry.ID),
-		"arch":     conv.ArchOf(m),
-		"layers":   m.NumLayers(),
-		"widths":   shape.Widths,
+	writeJSON(w, http.StatusCreated, uploadResponse{
+		ID:      entry.ID,
+		ShortID: store.ShortID(entry.ID),
+		Arch:    conv.ArchOf(m),
+		Layers:  m.NumLayers(),
+		Widths:  core.ShapeOfModel(m).Widths,
 	})
+}
+
+type uploadResponse struct {
+	ID      string `json:"id"`
+	ShortID string `json:"short_id"`
+	Arch    string `json:"arch"`
+	Layers  int    `json:"layers"`
+	Widths  []int  `json:"widths"`
 }
 
 // checkInputs rejects an input sample of the wrong dimension for cn.
@@ -272,31 +301,22 @@ func faultParams(c, value, prob *float64, bits, bit *int) fault.Params {
 		Sem:   d.Sem,
 		Value: orDefault(value, d.Value),
 		Prob:  orDefault(prob, d.Prob),
-		Bits:  orDefaultInt(bits, d.Bits),
-		Bit:   orDefaultInt(bit, d.Bit),
+		Bits:  orDefault(bits, d.Bits),
+		Bit:   orDefault(bit, d.Bit),
 	}
 }
 
-func orDefault(p *float64, def float64) float64 {
+func orDefault[T any](p *T, def T) T {
 	if p != nil {
 		return *p
 	}
 	return def
 }
 
-func orDefaultInt(p *int, def int) int {
-	if p != nil {
-		return *p
-	}
-	return def
-}
-
-// Every query kind below has one resolver: it applies the kind's
-// defaults and runs every check its compute path relies on, and the
-// synchronous handler, the job tier's submit-time validation (which
-// hashes the resolved values into the memo key) and the job executor
-// all go through it — a request the route rejects is rejected at
-// submit, never accepted and failed later.
+// The query kinds eval, bounds and inject follow; montecarlo.go and
+// worstcase.go hold the two long-running kinds, jobs.go experiments.
+// Each kind's resolver applies its defaults and runs every check its
+// compute relies on (see query.go).
 
 // ---- POST /v1/eval ----
 
@@ -305,49 +325,44 @@ type evalRequest struct {
 	Inputs [][]float64 `json:"inputs"`
 }
 
-// evalResolved is a validated eval request.
-type evalResolved struct {
+// evalQuery is a validated eval request.
+type evalQuery struct {
+	ref    netRef
 	cn     *cachedNet
 	inputs [][]float64
 }
 
-func (s *Server) resolveEval(req evalRequest) (evalResolved, error) {
+func (s *Server) resolveEval(req evalRequest) (evalQuery, error) {
 	cn, err := s.network(req.netRef)
 	if err != nil {
-		return evalResolved{}, err
+		return evalQuery{}, err
 	}
 	if len(req.Inputs) == 0 {
-		return evalResolved{}, badRequest("inputs is empty")
+		return evalQuery{}, badRequest("inputs is empty")
 	}
 	if err := checkInputs(cn, req.Inputs); err != nil {
-		return evalResolved{}, err
+		return evalQuery{}, err
 	}
-	return evalResolved{cn: cn, inputs: req.Inputs}, nil
+	return evalQuery{ref: req.netRef, cn: cn, inputs: req.Inputs}, nil
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	var req evalRequest
-	if err := decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	ev, err := s.resolveEval(req)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, computeEval(ev))
+func (q evalQuery) memo() any {
+	return struct {
+		Net    string      `json:"net"`
+		Inputs [][]float64 `json:"inputs"`
+	}{netMemoKey(q.ref, q.cn), q.inputs}
 }
 
-// computeEval is the transport-free eval path, shared by the
-// synchronous handler and the async job tier.
-func computeEval(ev evalResolved) map[string]any {
-	outputs := nn.ForwardBatchModel(ev.cn.model, ev.inputs)
-	return map[string]any{
-		"network_id": ev.cn.id,
-		"count":      len(outputs),
-		"outputs":    outputs,
-	}
+// evalResponse fields are in sorted key order (see query.go).
+type evalResponse struct {
+	Count     int       `json:"count"`
+	NetworkID string    `json:"network_id"`
+	Outputs   []float64 `json:"outputs"`
+}
+
+func (q evalQuery) compute(*Server, queryRun) (any, error) {
+	outputs := nn.ForwardBatchModel(q.cn.model, q.inputs)
+	return evalResponse{Count: len(outputs), NetworkID: q.cn.id, Outputs: outputs}, nil
 }
 
 // ---- POST /v1/bounds ----
@@ -360,6 +375,9 @@ type boundsRequest struct {
 	EpsPrime float64   `json:"eps_prime,omitempty"`
 }
 
+// boundsResponse is the one result document whose fields are not in
+// sorted key order: it has been a struct from the start, and its
+// stored bytes follow this declaration order.
 type boundsResponse struct {
 	NetworkID  string    `json:"network_id,omitempty"`
 	Arch       string    `json:"arch"`
@@ -377,48 +395,43 @@ type boundsResponse struct {
 	RequiredSignals []int `json:"required_signals,omitempty"`
 }
 
-// boundsResolved is a validated bounds request.
-type boundsResolved struct {
+// boundsQuery is a validated bounds request.
+type boundsQuery struct {
+	ref           netRef
 	cn            *cachedNet
 	faults        []int
 	c             float64
 	eps, epsPrime float64
 }
 
-func (s *Server) resolveBounds(req boundsRequest) (boundsResolved, error) {
+func (s *Server) resolveBounds(req boundsRequest) (boundsQuery, error) {
 	cn, err := s.network(req.netRef)
 	if err != nil {
-		return boundsResolved{}, err
+		return boundsQuery{}, err
 	}
 	faults, err := req.Faults.resolve(cn.shape.Widths)
 	if err != nil {
-		return boundsResolved{}, err
+		return boundsQuery{}, err
 	}
 	if err := checkCap(req.C); err != nil {
-		return boundsResolved{}, err
+		return boundsQuery{}, err
 	}
-	return boundsResolved{cn: cn, faults: faults, c: orDefault(req.C, fault.DefaultParams.C),
+	return boundsQuery{ref: req.netRef, cn: cn, faults: faults, c: orDefault(req.C, fault.DefaultParams.C),
 		eps: req.Eps, epsPrime: req.EpsPrime}, nil
 }
 
-func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request) {
-	var req boundsRequest
-	if err := decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	br, err := s.resolveBounds(req)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, computeBounds(br))
+func (q boundsQuery) memo() any {
+	return struct {
+		Net      string  `json:"net"`
+		Faults   []int   `json:"faults"`
+		C        float64 `json:"c"`
+		Eps      float64 `json:"eps"`
+		EpsPrime float64 `json:"eps_prime"`
+	}{netMemoKey(q.ref, q.cn), q.faults, q.c, q.eps, q.epsPrime}
 }
 
-// computeBounds is the transport-free bounds path, shared by the
-// synchronous handler and the async job tier.
-func computeBounds(br boundsResolved) boundsResponse {
-	cn, faults, c := br.cn, br.faults, br.c
+func (q boundsQuery) compute(*Server, queryRun) (any, error) {
+	cn, faults, c := q.cn, q.faults, q.c
 	// The certificate computations run on pooled per-network scratch:
 	// zero allocations in the steady state (see BenchmarkBoundsCompute).
 	b := cn.getBounds()
@@ -434,15 +447,15 @@ func computeBounds(br boundsResolved) boundsResponse {
 		CrashFep:   b.cert.CrashFep(faults),
 		SynapseFep: b.cert.SynapseFep(core.SynapseFaults(b.cert, b.synFaults, faults), c),
 	}
-	if br.eps > 0 {
-		tol := b.cert.Tolerates(faults, c, br.eps, br.epsPrime)
-		crashTol := b.cert.CrashTolerates(faults, br.eps, br.epsPrime)
+	if q.eps > 0 {
+		tol := b.cert.Tolerates(faults, c, q.eps, q.epsPrime)
+		crashTol := b.cert.CrashTolerates(faults, q.eps, q.epsPrime)
 		resp.Tolerated = &tol
 		resp.CrashTolerated = &crashTol
 		resp.RequiredSignals = append([]int(nil), b.cert.RequiredSignals(faults)...)
 	}
 	cn.putBounds(b)
-	return resp
+	return resp, nil
 }
 
 // ---- POST /v1/inject ----
@@ -460,9 +473,10 @@ type injectRequest struct {
 	Bit         *int      `json:"bit,omitempty"`
 }
 
-// injectResolved is a validated inject request: defaults applied,
-// faults resolved against the layer widths, the injector built.
-type injectResolved struct {
+// injectQuery is a validated inject request: defaults applied, faults
+// resolved against the layer widths, the injector built.
+type injectQuery struct {
+	ref         netRef
 	cn          *cachedNet
 	model       fault.Model
 	faults      []int
@@ -472,22 +486,22 @@ type injectResolved struct {
 	inj         fault.Injector
 }
 
-func (s *Server) resolveInject(req injectRequest) (injectResolved, error) {
-	var ir injectResolved
+func (s *Server) resolveInject(req injectRequest) (injectQuery, error) {
+	var q injectQuery
 	model, err := lookupModel(req.Model)
 	if err != nil {
-		return ir, err
+		return q, err
 	}
 	cn, err := s.network(req.netRef)
 	if err != nil {
-		return ir, err
+		return q, err
 	}
 	faults, err := req.Faults.resolve(cn.shape.Widths)
 	if err != nil {
-		return ir, err
+		return q, err
 	}
 	if err := checkCap(req.C); err != nil {
-		return ir, err
+		return q, err
 	}
 	seed := req.Seed
 	if seed == 0 {
@@ -496,79 +510,87 @@ func (s *Server) resolveInject(req injectRequest) (injectResolved, error) {
 	params := faultParams(req.C, req.Value, req.Prob, req.Bits, req.Bit).Seeded(cn.model, seed)
 	inj, err := model.New(params)
 	if err != nil {
-		return ir, badRequest(err.Error())
+		return q, badRequest(err.Error())
 	}
-	return injectResolved{cn: cn, model: model, faults: faults,
+	return injectQuery{ref: req.netRef, cn: cn, model: model, faults: faults,
 		adversarial: req.Adversarial == nil || *req.Adversarial,
 		seed:        seed, params: params, inj: inj}, nil
 }
 
-func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	var req injectRequest
-	if err := decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	ir, err := s.resolveInject(req)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	resp, err := computeInject(ir)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
+func (q injectQuery) memo() any {
+	p := q.params
+	return struct {
+		Net         string  `json:"net"`
+		Faults      []int   `json:"faults"`
+		Model       string  `json:"model"`
+		Adversarial bool    `json:"adversarial"`
+		Seed        uint64  `json:"seed"`
+		C           float64 `json:"c"`
+		Value       float64 `json:"value"`
+		Prob        float64 `json:"prob"`
+		Bits        int     `json:"bits"`
+		Bit         int     `json:"bit"`
+	}{netMemoKey(q.ref, q.cn), q.faults, q.model.Name, q.adversarial, q.seed,
+		p.C, p.Value, p.Prob, p.Bits, p.Bit}
 }
 
-// computeInject is the transport-free inject path, shared by the
-// synchronous handler and the async job tier.
-func computeInject(ir injectResolved) (map[string]any, error) {
-	cn, model, faults, inj := ir.cn, ir.model, ir.faults, ir.inj
+// injectResponse fields are in sorted key order (see query.go).
+type injectResponse struct {
+	Adversarial   bool    `json:"adversarial"`
+	Bound         float64 `json:"bound"`
+	Deterministic bool    `json:"deterministic"`
+	DeviationCap  float64 `json:"deviation_cap"`
+	Faults        []int   `json:"faults"`
+	Inputs        int     `json:"inputs"`
+	Measured      float64 `json:"measured"`
+	Model         string  `json:"model"`
+	NetworkID     string  `json:"network_id"`
+	// Utilization is measured/bound, present whenever bound > 0.
+	Utilization *float64 `json:"utilization,omitempty"`
+}
+
+func (q injectQuery) compute(*Server, queryRun) (any, error) {
+	cn, model, faults := q.cn, q.model, q.faults
 	var cp *fault.CompiledPlan
-	if ir.adversarial {
+	if q.adversarial {
 		cp = cn.adversarialPlan(faults)
 	} else {
-		cp = fault.Compile(cn.model, fault.RandomNeuronPlan(rng.New(ir.seed), cn.model, faults))
+		cp = fault.Compile(cn.model, fault.RandomNeuronPlan(rng.New(q.seed), cn.model, faults))
 	}
 	inputs, traces := cn.standardInputs()
-	var measured float64
-	if model.Deterministic {
-		measured = parallel.MaxFloat64(len(traces), func(i int) float64 {
-			return cp.ErrorOnTrace(inj, traces[i])
-		})
-	} else {
-		for _, tr := range traces {
-			if e := cp.ErrorOnTrace(inj, tr); e > measured {
-				measured = e
-			}
-		}
-	}
-	dev := model.NeuronDeviation(ir.params, cn.shape)
+	measured := cp.MaxErrorOnTraces(q.inj, traces, model.Deterministic)
+	dev := model.NeuronDeviation(q.params, cn.shape)
 	b := cn.getBounds()
 	bound := b.cert.Fep(faults, dev)
 	cn.putBounds(b)
-	resp := map[string]any{
-		"network_id":    cn.id,
-		"model":         model.Name,
-		"deterministic": model.Deterministic,
-		"adversarial":   ir.adversarial,
-		"faults":        faults,
-		"deviation_cap": dev,
-		"inputs":        len(inputs),
-		"measured":      measured,
-		"bound":         bound,
-	}
-	if bound > 0 {
-		resp["utilization"] = measured / bound
-	}
 	if measured > bound*(1+1e-9) {
 		// A violated bound is a bug in the engine, never a valid answer.
 		return nil, &httpError{status: http.StatusInternalServerError,
 			msg: fmt.Sprintf("bound violated: measured %g > bound %g", measured, bound)}
 	}
-	return resp, nil
+	return injectResponse{
+		Adversarial:   q.adversarial,
+		Bound:         bound,
+		Deterministic: model.Deterministic,
+		DeviationCap:  dev,
+		Faults:        faults,
+		Inputs:        len(inputs),
+		Measured:      measured,
+		Model:         model.Name,
+		NetworkID:     cn.id,
+		Utilization:   ratio(measured, bound),
+	}, nil
+}
+
+// ratio returns x/bound, nil when bound is not positive: a response
+// carries the ratio only against a positive bound, and then always,
+// a zero ratio included.
+func ratio(x, bound float64) *float64 {
+	if bound > 0 {
+		r := x / bound
+		return &r
+	}
+	return nil
 }
 
 // ---- POST /v1/quantize ----
@@ -634,145 +656,23 @@ func (s *Server) handleQuantize(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"id":                  qe.ID,
-		"short_id":            store.ShortID(qe.ID),
-		"network_id":          entry.ID,
-		"options":             q.Opts,
-		"bound":               q.Bound(),
-		"memory_bits":         q.MemoryBits(),
-		"full_precision_bits": quant.FullPrecisionBits(q.Original),
+	writeJSON(w, http.StatusCreated, quantizeResponse{
+		ID:                qe.ID,
+		ShortID:           store.ShortID(qe.ID),
+		NetworkID:         entry.ID,
+		Options:           q.Opts,
+		Bound:             q.Bound(),
+		MemoryBits:        q.MemoryBits(),
+		FullPrecisionBits: quant.FullPrecisionBits(q.Original),
 	})
 }
 
-// ---- POST /v1/montecarlo ----
-
-type monteCarloRequest struct {
-	netRef
-	Faults faultSpec   `json:"faults,omitempty"`
-	C      float64     `json:"c,omitempty"`
-	Trials int         `json:"trials,omitempty"`
-	Seed   uint64      `json:"seed,omitempty"`
-	Inputs [][]float64 `json:"inputs,omitempty"`
-}
-
-// maxTrials bounds one Monte Carlo request; larger campaigns should be
-// split (and their seeds varied) by the client.
-const maxTrials = 200000
-
-// statusClientClosedRequest is nginx's convention for "the client went
-// away before the response"; no standard library constant exists.
-const statusClientClosedRequest = 499
-
-// mcResolved is a validated Monte Carlo campaign: defaults applied,
-// faults resolved against the layer widths, inputs checked against the
-// input width. Its scalar fields (plus the network identity and inputs)
-// are exactly what determines the result — the memo key hashes them.
-// Validation traces nothing: the inputs' clean traces are computed by
-// whoever runs the campaign (cleanTraces).
-type mcResolved struct {
-	cn     *cachedNet
-	faults []int
-	c      float64
-	trials int
-	seed   uint64
-	// inputs are the request's own inputs, nil for the network's
-	// standard sample.
-	inputs [][]float64
-}
-
-// cleanTraces returns the campaign inputs' clean traces: the network's
-// cached standard traces, or the request's inputs traced now.
-func (mc mcResolved) cleanTraces() []*nn.Trace {
-	if mc.inputs == nil {
-		_, traces := mc.cn.standardInputs()
-		return traces
-	}
-	return fault.CleanTraces(mc.cn.model, mc.inputs)
-}
-
-// resolveMonteCarlo validates a campaign request, applying the same
-// defaults for the synchronous path, the job tier and the memo key.
-func (s *Server) resolveMonteCarlo(req monteCarloRequest) (mcResolved, error) {
-	var mc mcResolved
-	cn, err := s.network(req.netRef)
-	if err != nil {
-		return mc, err
-	}
-	faults, err := req.Faults.resolve(cn.shape.Widths)
-	if err != nil {
-		return mc, err
-	}
-	if err := checkCap(&req.C); err != nil {
-		return mc, err
-	}
-	trials := req.Trials
-	if trials == 0 {
-		trials = fault.DefaultTrials
-	}
-	if trials < 1 || trials > maxTrials {
-		return mc, badRequest(fmt.Sprintf("trials %d outside [1, %d]", trials, maxTrials))
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = fault.DefaultTrialSeed
-	}
-	var inputs [][]float64
-	if len(req.Inputs) > 0 {
-		if err := checkInputs(cn, req.Inputs); err != nil {
-			return mc, err
-		}
-		inputs = req.Inputs
-	}
-	return mcResolved{cn: cn, faults: faults, c: req.C, trials: trials, seed: seed, inputs: inputs}, nil
-}
-
-// mcResponse compares a completed profile against the matching
-// closed-form bound and assembles the response document.
-func mcResponse(mc mcResolved, prof fault.Profile) map[string]any {
-	b := mc.cn.getBounds()
-	var bound float64
-	if mc.c == 0 {
-		bound = b.cert.CrashFep(mc.faults)
-	} else {
-		bound = b.cert.Fep(mc.faults, mc.c)
-	}
-	mc.cn.putBounds(b)
-	resp := map[string]any{
-		"network_id": mc.cn.id,
-		"faults":     mc.faults,
-		"c":          mc.c,
-		"trials":     prof.Trials,
-		"mean":       prof.Stats.Mean,
-		"median":     prof.Stats.Median,
-		"q90":        prof.Q90,
-		"q99":        prof.Q99,
-		"max":        prof.Stats.Max,
-		"bound":      bound,
-	}
-	if bound > 0 {
-		resp["max_vs_bound"] = prof.Stats.Max / bound
-	}
-	return resp
-}
-
-func (s *Server) handleMonteCarlo(w http.ResponseWriter, r *http.Request) {
-	var req monteCarloRequest
-	if err := decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	mc, err := s.resolveMonteCarlo(req)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	prof, err := s.shardedMonteCarlo(r.Context(), mc.cn, mc.faults, mc.c, mc.cleanTraces(), mc.trials, mc.seed)
-	if err != nil {
-		// The client is gone or the server is draining: there is nobody
-		// to answer, and the partial profile would be wrong anyway.
-		writeError(w, statusClientClosedRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, mcResponse(mc, prof))
+type quantizeResponse struct {
+	ID                string        `json:"id"`
+	ShortID           string        `json:"short_id"`
+	NetworkID         string        `json:"network_id"`
+	Options           quant.Options `json:"options"`
+	Bound             float64       `json:"bound"`
+	MemoryBits        int           `json:"memory_bits"`
+	FullPrecisionBits int           `json:"full_precision_bits"`
 }

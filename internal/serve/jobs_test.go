@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -376,15 +377,34 @@ func TestJobResultsPinned(t *testing.T) {
 	}
 }
 
-// TestJobBodyLimit: control-plane routes cap their request bodies; an
-// oversized document is 413, not an async failure.
+// TestJobBodyLimit: every route caps its request body; an oversized
+// document is 413, not an async failure or a generic 400.
 func TestJobBodyLimit(t *testing.T) {
 	s, _ := jobServer(t, Config{})
-	big := `{"network_id": "` + strings.Repeat("a", smallBodyBytes+1024) + `"}`
-	rec := doRec(t, s, "POST", "/v1/quantize", big)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized quantize status %d, want 413", rec.Code)
+	for _, tc := range []struct {
+		route string
+		body  io.Reader
+	}{
+		{"/v1/quantize", strings.NewReader(`{"network_id": "` + strings.Repeat("a", smallBodyBytes+1024) + `"}`)},
+		// A model-bearing route, streamed from a repeating reader.
+		{"/v1/networks", io.LimitReader(repeatByte('a'), maxBodyBytes+1)},
+	} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", tc.route, tc.body))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized %s status %d, want 413: %s", tc.route, rec.Code, rec.Body.Bytes())
+		}
 	}
+}
+
+// repeatByte is an endless reader of one byte.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }
 
 // TestJobWatchStream: ?watch=1 streams NDJSON records ending with the

@@ -125,17 +125,17 @@ func New(cfg Config) (*Server, error) {
 	s.handle("GET /healthz", smallBodyBytes, s.handleHealthz)
 	s.handle("GET /v1/networks", smallBodyBytes, s.handleListNetworks)
 	s.handle("POST /v1/networks", maxBodyBytes, s.handleUploadNetwork)
-	s.handle("POST /v1/eval", maxBodyBytes, s.handleEval)
-	s.handle("POST /v1/bounds", maxBodyBytes, s.handleBounds)
-	s.handle("POST /v1/inject", maxBodyBytes, s.handleInject)
-	s.handle("POST /v1/montecarlo", maxBodyBytes, s.handleMonteCarlo)
-	s.handle("POST /v1/worstcase", maxBodyBytes, s.handleWorstCase)
+	s.handle("POST /v1/eval", maxBodyBytes, s.handleQuery(jobKindEval))
+	s.handle("POST /v1/bounds", maxBodyBytes, s.handleQuery(jobKindBounds))
+	s.handle("POST /v1/inject", maxBodyBytes, s.handleQuery(jobKindInject))
+	s.handle("POST /v1/montecarlo", maxBodyBytes, s.handleQuery(jobKindMonteCarlo))
+	s.handle("POST /v1/worstcase", maxBodyBytes, s.handleQuery(jobKindWorstCase))
 	s.handle("POST /v1/quantize", smallBodyBytes, s.handleQuantize)
-	s.handle("POST /v1/jobs", maxBodyBytes, s.handleJobSubmit)
-	s.handle("GET /v1/jobs", smallBodyBytes, s.handleJobList)
-	s.handle("GET /v1/jobs/{id}", smallBodyBytes, s.handleJobGet)
-	s.handle("GET /v1/jobs/{id}/result", smallBodyBytes, s.handleJobResult)
-	s.handle("POST /v1/jobs/{id}/cancel", smallBodyBytes, s.handleJobCancel)
+	s.handle("POST /v1/jobs", maxBodyBytes, s.jobRoute(s.handleJobSubmit))
+	s.handle("GET /v1/jobs", smallBodyBytes, s.jobRoute(s.handleJobList))
+	s.handle("GET /v1/jobs/{id}", smallBodyBytes, s.jobRoute(s.handleJobGet))
+	s.handle("GET /v1/jobs/{id}/result", smallBodyBytes, s.jobRoute(s.handleJobResult))
+	s.handle("POST /v1/jobs/{id}/cancel", smallBodyBytes, s.jobRoute(s.handleJobCancel))
 	if cfg.Store != nil {
 		m, err := jobs.New(jobs.Config{
 			Store:       cfg.Store,

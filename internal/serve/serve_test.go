@@ -272,7 +272,7 @@ func TestMonteCarloCancellation(t *testing.T) {
 	_, traces := cn.standardInputs()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already abandoned before the campaign starts
-	if _, err := s.shardedMonteCarlo(ctx, cn, []int{1, 1}, 0, traces, maxTrials, 1); err == nil {
+	if err := s.mcRange(ctx, cn, []int{1, 1}, 0, traces, 1, 0, make([]float64, maxTrials)); err == nil {
 		t.Fatal("cancelled campaign returned a profile")
 	}
 	// Through the handler: a cancelled request context maps to 499.

@@ -21,55 +21,55 @@ type worstCaseRequest struct {
 	MaxConfigs int64       `json:"max_configs,omitempty"`
 }
 
-// wcResolved is a validated exhaustive-certification request: defaults
+// wcQuery is a validated exhaustive-certification request: defaults
 // applied, faults resolved against the layer widths, the injector
 // built. Its scalar fields plus the network identity and inputs are
 // exactly what determines the result — the job memo key hashes them
 // (max_configs is a guard, not an input, and is excluded).
-type wcResolved struct {
+type wcQuery struct {
+	ref    netRef
 	cn     *cachedNet
 	model  fault.Model
 	faults []int
 	params fault.Params
 	inj    fault.Injector
+	// inputs are the request's own inputs, nil for the network's
+	// standard sample.
 	inputs [][]float64
-	total  int64
 }
 
-// resolveWorstCase validates a request, applying the same defaults for
-// the synchronous path, the job tier and the memo key. Stochastic
-// models are rejected: an exhaustive sweep certifies a worst case only
-// when every configuration's error is a deterministic function of the
-// configuration — randomised deviations are a profile, not a
-// certificate, and belong to /v1/montecarlo.
-func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
-	var wc wcResolved
+// resolveWorstCase rejects stochastic models: an exhaustive sweep
+// certifies a worst case only when every configuration's error is a
+// deterministic function of the configuration — randomised deviations
+// are a profile, not a certificate, and belong to /v1/montecarlo.
+func (s *Server) resolveWorstCase(req worstCaseRequest) (wcQuery, error) {
+	var q wcQuery
 	model, err := lookupModel(req.Model)
 	if err != nil {
-		return wc, err
+		return q, err
 	}
 	if !model.Deterministic {
-		return wc, badRequest(fmt.Sprintf("fault model %q is stochastic; exhaustive worst-case search needs a deterministic model — profile stochastic models with /v1/montecarlo", model.Name))
+		return q, badRequest(fmt.Sprintf("fault model %q is stochastic; exhaustive worst-case search needs a deterministic model — profile stochastic models with /v1/montecarlo", model.Name))
 	}
 	cn, err := s.network(req.netRef)
 	if err != nil {
-		return wc, err
+		return q, err
 	}
 	faults, err := req.Faults.resolve(cn.shape.Widths)
 	if err != nil {
-		return wc, err
+		return q, err
 	}
 	if err := checkCap(req.C); err != nil {
-		return wc, err
+		return q, err
 	}
 	params := faultParams(req.C, req.Value, nil, req.Bits, req.Bit)
 	params.Net = cn.model
 	inj, err := model.New(params)
 	if err != nil {
-		return wc, badRequest(err.Error())
+		return q, badRequest(err.Error())
 	}
 	if req.MaxConfigs < 0 {
-		return wc, badRequest("max_configs is negative")
+		return q, badRequest("max_configs is negative")
 	}
 	limit := req.MaxConfigs
 	if limit == 0 || limit > fault.MaxWorstCaseConfigs {
@@ -77,101 +77,143 @@ func (s *Server) resolveWorstCase(req worstCaseRequest) (wcResolved, error) {
 	}
 	total, err := fault.CountConfigurations(cn.shape.Widths, faults)
 	if err != nil {
-		return wc, badRequest(err.Error())
+		return q, badRequest(err.Error())
 	}
 	if total > limit {
-		return wc, badRequest(fmt.Sprintf("%d configurations exceed limit %d (cap %d); lower the fault counts", total, limit, fault.MaxWorstCaseConfigs))
+		return q, badRequest(fmt.Sprintf("%d configurations exceed limit %d (cap %d); lower the fault counts", total, limit, fault.MaxWorstCaseConfigs))
 	}
-	inputs := req.Inputs
-	if len(inputs) > 0 {
-		if err := checkInputs(cn, inputs); err != nil {
-			return wc, err
+	var inputs [][]float64
+	if len(req.Inputs) > 0 {
+		if err := checkInputs(cn, req.Inputs); err != nil {
+			return q, err
 		}
-	} else {
-		inputs, _ = cn.standardInputs()
+		inputs = req.Inputs
 	}
-	return wcResolved{cn: cn, model: model, faults: faults, params: params, inj: inj, inputs: inputs, total: total}, nil
+	return wcQuery{ref: req.netRef, cn: cn, model: model, faults: faults, params: params, inj: inj, inputs: inputs}, nil
 }
 
-// worstCaseEngine builds the pruned tree engine for a resolved request,
-// sharded over the server's worker pool.
-func (s *Server) worstCaseEngine(wc wcResolved) (*fault.WorstCase, error) {
-	return fault.NewWorstCase(wc.cn.model, wc.faults, wc.inputs, fault.WorstCaseOptions{
-		Injector:   wc.inj,
+func (q wcQuery) memo() any {
+	return struct {
+		Net    string      `json:"net"`
+		Faults []int       `json:"faults"`
+		Model  string      `json:"model"`
+		C      float64     `json:"c"`
+		Value  float64     `json:"value"`
+		Bits   int         `json:"bits"`
+		Bit    int         `json:"bit"`
+		Inputs [][]float64 `json:"inputs,omitempty"`
+	}{netMemoKey(q.ref, q.cn), q.faults, q.model.Name,
+		q.params.C, q.params.Value, q.params.Bits, q.params.Bit, q.inputs}
+}
+
+// worstCaseResponse fields are in sorted key order (see query.go).
+type worstCaseResponse struct {
+	Bound          float64 `json:"bound"`
+	Configurations int64   `json:"configurations"`
+	Deterministic  bool    `json:"deterministic"`
+	DeviationCap   float64 `json:"deviation_cap"`
+	Faults         []int   `json:"faults"`
+	Inputs         int     `json:"inputs"`
+	Model          string  `json:"model"`
+	NetworkID      string  `json:"network_id"`
+	// Pruned and Visited are set on the sync route only: under parallel
+	// sharding they depend on how fast the pruning floor propagates
+	// between workers, and the content-addressed ResultID of a resumed
+	// job must match an uninterrupted run's exactly.
+	Pruned *int64 `json:"pruned,omitempty"`
+	// Utilization is worst_error/bound, present whenever bound > 0.
+	Utilization *float64    `json:"utilization,omitempty"`
+	Visited     *int64      `json:"visited,omitempty"`
+	WorstError  float64     `json:"worst_error"`
+	WorstPlan   []planFault `json:"worst_plan"`
+}
+
+// planFault is one failed neuron of worst_plan, fields in sorted key
+// order.
+type planFault struct {
+	Index int `json:"index"`
+	Layer int `json:"layer"`
+}
+
+// wcCheckpoint is the durable partial state of an exhaustive worst-case
+// sweep: the subtree frontier. Next is the first tree-order
+// configuration index not yet covered; State carries the incumbent
+// (error, first-attaining flat index, plan) and the visited/pruned
+// tallies of the completed prefix. Resuming seeds the pruning floor
+// from State.WorstError — a tighter floor prunes MORE than the fresh
+// run but never differently in outcome (pruning is sound), so the
+// resumed sweep reproduces the uninterrupted result document
+// bit-identically.
+type wcCheckpoint struct {
+	Next  int64             `json:"next"`
+	State fault.SearchState `json:"state"`
+}
+
+// compute runs the pruned tree engine, sharded over the server's worker
+// pool, and compares the worst case against the matching closed-form
+// certificate. A job sweeps in checkpointed frontier chunks, large
+// multiples of the Monte Carlo interval: a configuration costs one
+// damaged partial sweep, far less than a trial's full plan compile.
+func (q wcQuery) compute(s *Server, run queryRun) (any, error) {
+	inputs := q.inputs
+	if inputs == nil {
+		inputs, _ = q.cn.standardInputs()
+	}
+	eng, err := fault.NewWorstCase(q.cn.model, q.faults, inputs, fault.WorstCaseOptions{
+		Injector:   q.inj,
 		Prune:      true,
 		MaxConfigs: fault.MaxWorstCaseConfigs,
 		Pool:       s.pool,
 	})
-}
-
-// worstCaseResponse compares the completed search against the matching
-// closed-form certificate and assembles the result document. It
-// deliberately excludes the visited/pruned counters: they depend on the
-// racy pruning floor under parallel sharding, and the async job tier
-// content-addresses this document — a killed-and-resumed job must
-// reproduce the identical ResultID. The synchronous handler adds them
-// on top.
-func (s *Server) worstCaseResponse(wc wcResolved, res fault.ExhaustiveResult) (map[string]any, error) {
-	dev := wc.model.NeuronDeviation(wc.params, wc.cn.shape)
-	b := wc.cn.getBounds()
-	bound := b.cert.Fep(wc.faults, dev)
-	wc.cn.putBounds(b)
-	plan := make([]map[string]int, 0, len(res.WorstPlan.Neurons))
-	for _, f := range res.WorstPlan.Neurons {
-		plan = append(plan, map[string]int{"layer": f.Layer, "index": f.Index})
+	if err != nil {
+		return nil, badRequest(err.Error())
 	}
-	resp := map[string]any{
-		"network_id":     wc.cn.id,
-		"model":          wc.model.Name,
-		"deterministic":  true,
-		"faults":         wc.faults,
-		"configurations": res.Configurations,
-		"inputs":         len(wc.inputs),
-		"worst_error":    res.WorstError,
-		"worst_plan":     plan,
-		"deviation_cap":  dev,
-		"bound":          bound,
+	total := eng.Total()
+	st := fault.NewSearchState()
+	done := int64(0)
+	var ck wcCheckpoint
+	if ok, err := run.restore(&ck); err != nil {
+		return nil, err
+	} else if ok && ck.Next > 0 && ck.Next <= total &&
+		ck.State.Visited+ck.State.Pruned == ck.Next && ck.State.WorstFlat < ck.Next {
+		st = ck.State
+		done = ck.Next
 	}
-	if bound > 0 {
-		resp["utilization"] = res.WorstError / bound
+	err = run.sweep(done, total, int64(s.mcChunk)*16, func(lo, hi int64) error {
+		return eng.Search(run.ctx, lo, hi, &st)
+	}, func(done int64) any { return wcCheckpoint{Next: done, State: st} })
+	if err != nil {
+		return nil, err
 	}
+	res := eng.Result(st)
+	dev := q.model.NeuronDeviation(q.params, q.cn.shape)
+	b := q.cn.getBounds()
+	bound := b.cert.Fep(q.faults, dev)
+	q.cn.putBounds(b)
 	if res.WorstError > bound*(1+1e-9) {
 		// A violated bound is a bug in the engine, never a valid answer.
 		return nil, &httpError{status: http.StatusInternalServerError,
 			msg: fmt.Sprintf("bound violated: worst error %g > bound %g", res.WorstError, bound)}
 	}
+	plan := make([]planFault, len(res.WorstPlan.Neurons))
+	for i, f := range res.WorstPlan.Neurons {
+		plan[i] = planFault{Index: f.Index, Layer: f.Layer}
+	}
+	resp := worstCaseResponse{
+		Bound:          bound,
+		Configurations: res.Configurations,
+		Deterministic:  true,
+		DeviationCap:   dev,
+		Faults:         q.faults,
+		Inputs:         len(inputs),
+		Model:          q.model.Name,
+		NetworkID:      q.cn.id,
+		Utilization:    ratio(res.WorstError, bound),
+		WorstError:     res.WorstError,
+		WorstPlan:      plan,
+	}
+	if run.task == nil {
+		resp.Pruned, resp.Visited = &res.Pruned, &res.Visited
+	}
 	return resp, nil
-}
-
-func (s *Server) handleWorstCase(w http.ResponseWriter, r *http.Request) {
-	var req worstCaseRequest
-	if err := decode(r, &req); err != nil {
-		fail(w, err)
-		return
-	}
-	wc, err := s.resolveWorstCase(req)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	eng, err := s.worstCaseEngine(wc)
-	if err != nil {
-		fail(w, badRequest(err.Error()))
-		return
-	}
-	res, err := eng.Run(r.Context())
-	if err != nil {
-		// The client is gone: nobody is listening, and a partial sweep
-		// certifies nothing.
-		writeError(w, statusClientClosedRequest, err.Error())
-		return
-	}
-	resp, err := s.worstCaseResponse(wc, res)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	resp["visited"] = res.Visited
-	resp["pruned"] = res.Pruned
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -39,7 +39,7 @@ echo "   listening on $ADDR"
 echo "== GET /healthz"
 HEALTH=$(curl -sf "http://$ADDR/healthz")
 echo "   $HEALTH"
-echo "$HEALTH" | grep -q '"status": "ok"' || { echo "unexpected health payload"; exit 1; }
+echo "$HEALTH" | grep -q '"status": *"ok"' || { echo "unexpected health payload"; exit 1; }
 
 echo "== POST /v1/bounds"
 BOUNDS=$(curl -sf -X POST "http://$ADDR/v1/bounds" \
