@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet vet-bench cross build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store bench-snapshot bench-pairs fuzz-smoke staticcheck vuln serve-smoke load load-smoke
+.PHONY: ci fmt vet vet-bench cross build test race bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store bench-snapshot bench-pairs fuzz-smoke staticcheck vuln serve-smoke load-smoke
 
 ci: fmt vet vet-bench cross staticcheck vuln build test bench bench-conv bench-batch bench-exhaustive bench-graph bench-graph-batch bench-store fuzz-smoke serve-smoke load-smoke
 
@@ -144,20 +144,11 @@ serve-smoke:
 	$(GO) build -o /tmp/neurofail-smoke ./cmd/neurofail
 	sh scripts/serve_smoke.sh /tmp/neurofail-smoke
 
-# Quick load smoke (BENCH_5.json workload, scaled down for CI): boots
-# the server with the async job tier, drives concurrent /v1/bounds
-# clients plus Monte Carlo campaigns, asserts non-zero sustained RPS,
-# every campaign completed, a memo hit on resubmission, and a graceful
-# SIGTERM drain.
+# Quick load smoke, driven through the CLI and curl: boots the server
+# with the async job tier, queues Monte Carlo campaigns, runs concurrent
+# curl clients on /v1/bounds while they are queued, and asserts every
+# request returned 2xx, a non-zero RPS, every campaign done, a memo hit
+# on resubmission, and a graceful SIGTERM drain.
 load-smoke:
 	$(GO) build -o /tmp/neurofail-smoke ./cmd/neurofail
-	$(GO) build -o /tmp/neurofail-loadgen ./cmd/loadgen
-	sh scripts/load_smoke.sh /tmp/neurofail-smoke /tmp/neurofail-loadgen
-
-# Full load harness: regenerates BENCH_5.json (p50/p99 latency and
-# sustained RPS under concurrent campaign load).
-load:
-	$(GO) build -o /tmp/neurofail-smoke ./cmd/neurofail
-	$(GO) build -o /tmp/neurofail-loadgen ./cmd/loadgen
-	CLIENTS=8 DURATION=10s JOBS=4 JOB_TRIALS=20000 \
-		sh scripts/load_smoke.sh /tmp/neurofail-smoke /tmp/neurofail-loadgen BENCH_5.json
+	sh scripts/load_smoke.sh /tmp/neurofail-smoke

@@ -289,7 +289,7 @@ func BenchmarkConvForward(b *testing.B) {
 		b.ResetTimer()
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += n.ForwardInto(sc, x)
+			sink += neurofail.ForwardModel(n, sc, x)
 		}
 		_ = sink
 	})
@@ -298,7 +298,7 @@ func BenchmarkConvForward(b *testing.B) {
 		b.ResetTimer()
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += d.ForwardInto(sc, x)
+			sink += neurofail.ForwardModel(d, sc, x)
 		}
 		_ = sink
 	})
@@ -715,7 +715,7 @@ func BenchmarkGraphForward(b *testing.B) {
 		b.ResetTimer()
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			sink += d.ForwardInto(sc, x)
+			sink += neurofail.ForwardModel(d, sc, x)
 		}
 		_ = sink
 	})

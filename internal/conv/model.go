@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/activation"
 	"repro/internal/fault"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -162,14 +161,6 @@ func (n *Net) Weight(l, to, from int) float64 {
 // arithmetic exactly.
 func (n *Net) OutputSum(y []float64) float64 {
 	return tensor.Dot(n.Output, y) + 0.0
-}
-
-// ForwardInto evaluates the net on sc's buffers: zero steady-state
-// allocations, bit-identical to the lowered dense network's ForwardInto
-// (NOT to the naive Forward, whose sequential accumulation orders
-// floating-point additions differently).
-func (n *Net) ForwardInto(sc *nn.Scratch, x []float64) float64 {
-	return nn.ForwardModel(n, sc, x)
 }
 
 // OutgoingWeight implements fault.OutgoingScorer: the largest |w| a
@@ -394,13 +385,6 @@ func (n *Net2D) Weight(l, to, from int) float64 {
 // OutputSum evaluates the linear output node (see Net.OutputSum).
 func (n *Net2D) OutputSum(y []float64) float64 {
 	return tensor.Dot(n.Output, y) + 0.0
-}
-
-// ForwardInto evaluates the net on sc's buffers: zero steady-state
-// allocations, bit-identical to the lowered dense network's ForwardInto
-// (see Net.ForwardInto on the accumulation-order caveat vs Forward).
-func (n *Net2D) ForwardInto(sc *nn.Scratch, x []float64) float64 {
-	return nn.ForwardModel(n, sc, x)
 }
 
 // ---- shared-weight (kernel) faults --------------------------------------

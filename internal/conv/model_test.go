@@ -113,7 +113,7 @@ func TestForwardIntoBitIdenticalToLowered(t *testing.T) {
 				x := make([]float64, tc.dim)
 				r.Floats(x, 0, 1)
 				native := nn.ForwardModel(tc.model, sc, x)
-				lowered := tc.dense.ForwardInto(dsc, x)
+				lowered := nn.ForwardModel(tc.dense, dsc, x)
 				if native != lowered {
 					t.Fatalf("trial %d: native %v != lowered %v", trial, native, lowered)
 				}
@@ -137,11 +137,11 @@ func TestForwardIntoZeroAllocs(t *testing.T) {
 	sc1 := nn.NewScratch(n1)
 	sc2 := nn.NewScratch(n2)
 	var sink float64
-	if a := testing.AllocsPerRun(100, func() { sink += n1.ForwardInto(sc1, x1) }); a != 0 {
-		t.Fatalf("1-D ForwardInto allocates %v per run", a)
+	if a := testing.AllocsPerRun(100, func() { sink += nn.ForwardModel(n1, sc1, x1) }); a != 0 {
+		t.Fatalf("1-D ForwardModel allocates %v per run", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { sink += n2.ForwardInto(sc2, x2) }); a != 0 {
-		t.Fatalf("2-D ForwardInto allocates %v per run", a)
+	if a := testing.AllocsPerRun(100, func() { sink += nn.ForwardModel(n2, sc2, x2) }); a != 0 {
+		t.Fatalf("2-D ForwardModel allocates %v per run", a)
 	}
 	_ = sink
 }

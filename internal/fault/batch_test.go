@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/activation"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/rng"
 )
@@ -115,15 +116,55 @@ func TestBatchResetSharedMatchesScalar(t *testing.T) {
 }
 
 // TestBatchedPathsMatchScalarSweeps pins the rewired public entry
-// points end to end: MaxError against MaxErrorSeq, and MonteCarlo
-// against a scalar replay of its historical trial loop — same seed,
-// same draws, identical profile.
+// points end to end: MaxError against MaxErrorSeq, MaxErrorSeq (which
+// measures over clean traces) against the fused trace-free ErrorOn
+// sweep for every registered model, and MonteCarlo against a scalar
+// replay of its historical trial loop — same seed, same draws,
+// identical profile.
 func TestBatchedPathsMatchScalarSweeps(t *testing.T) {
 	net, inputs := batchTestNet(131)
 	r := rng.New(137)
 	plan := RandomNeuronPlan(r, net, []int{2, 1, 1})
 	if got, want := MaxError(net, plan, Crash{}, inputs), MaxErrorSeq(net, plan, Crash{}, inputs); got != want {
 		t.Fatalf("MaxError batched %v != sequential %v", got, want)
+	}
+
+	// Stochastic models run on twin-seeded streams over repeated
+	// sweeps, so both sides must draw in the same order. The skip
+	// graph's damaged sweeps take the row path, which has its own.
+	var skip *graph.Net
+	for skip == nil || nn.IsLayered(skip) {
+		skip = graph.NewSmallWorld(r, 3, []int{10, 8, 6}, activation.NewSigmoid(1), 2, 0.6)
+	}
+	for _, m := range []nn.Model{net, skip} {
+		neurons := RandomNeuronPlan(r, m, []int{2, 1, 1})
+		synapses := RandomSynapsePlan(r, m, []int{1, 1, 0, 1})
+		mixed := RandomSynapsePlan(r, m, []int{1, 0, 2, 1})
+		mixed.Neurons = RandomNeuronPlan(r, m, []int{1, 1, 0}).Neurons
+		for _, fm := range Models() {
+			build := func() Injector {
+				inj, err := fm.New(Params{C: 0.8, Sem: core.DeviationCap, Value: 0.4, Prob: 0.5, Bits: 8, Bit: 6, Net: m, R: rng.New(211)})
+				if err != nil {
+					t.Fatalf("%s: %v", fm.Name, err)
+				}
+				return inj
+			}
+			for pi, p := range []Plan{neurons, synapses, mixed} {
+				inj, ref := build(), build()
+				cp := Compile(m, p)
+				for draw := 0; draw < 3; draw++ {
+					want := 0.0
+					for _, x := range inputs {
+						if e := cp.ErrorOn(ref, x); e > want {
+							want = e
+						}
+					}
+					if got := MaxErrorSeq(m, p, inj, inputs); got != want {
+						t.Fatalf("%T %s plan %d draw %d: MaxErrorSeq %v != ErrorOn sweep %v", m, fm.Name, pi, draw, got, want)
+					}
+				}
+			}
+		}
 	}
 
 	const trials = 37 // not a multiple of BatchLanes: exercises the tail group

@@ -579,9 +579,11 @@ func evalSkip(f activation.Func, s []float64, skip []int) {
 // CleanTraces evaluates the fault-free trace of every input once, in
 // parallel — the shared reference for sweeping many plans over a fixed
 // input set (Monte Carlo profiles, sign searches, exhaustive
-// configuration searches).
+// configuration searches). The model's DAG view is built once and
+// shared by every trace.
 func CleanTraces(m nn.Model, inputs [][]float64) []*nn.Trace {
+	dm := nn.AsDAG(m)
 	out := make([]*nn.Trace, len(inputs))
-	parallel.For(len(inputs), func(i int) { out[i] = nn.TraceModel(m, inputs[i]) })
+	parallel.For(len(inputs), func(i int) { out[i] = nn.TraceModel(dm, inputs[i]) })
 	return out
 }

@@ -41,16 +41,11 @@ func MaxError(n nn.Model, p Plan, inj Injector, inputs [][]float64) float64 {
 	return worst
 }
 
-// MaxErrorSeq is the sequential variant for stateful injectors.
+// MaxErrorSeq is the sequential variant for stateful injectors: the
+// inputs' clean traces are computed once and MaxErrorOnTraces runs the
+// damaged sweeps in input order.
 func MaxErrorSeq(n nn.Model, p Plan, inj Injector, inputs [][]float64) float64 {
-	cp := Compile(n, p)
-	worst := 0.0
-	for _, x := range inputs {
-		if e := cp.ErrorOn(inj, x); e > worst {
-			worst = e
-		}
-	}
-	return worst
+	return Compile(n, p).MaxErrorOnTraces(inj, CleanTraces(n, inputs), false)
 }
 
 // MaxErrorOnTraces returns the largest |Fneu - Ffail| of the compiled
@@ -109,13 +104,7 @@ func WorstSignError(n nn.Model, p Plan, base Byzantine, inputs [][]float64) floa
 				inj.SynSign[f] = 1
 			}
 		}
-		worst := 0.0
-		for _, tr := range traces {
-			if e := cp.ErrorOnTrace(inj, tr); e > worst {
-				worst = e
-			}
-		}
-		return worst
+		return cp.MaxErrorOnTraces(inj, traces, false)
 	})
 }
 

@@ -96,7 +96,8 @@ type Model struct {
 	// on the fault and the nominal value. Deterministic injectors are
 	// safe for concurrent use and evaluate with zero steady-state
 	// allocations on compiled plans; stochastic ones require Params.R
-	// and sequential evaluation (fault.MaxErrorSeq).
+	// and sequential evaluation (fault.MaxErrorSeq, which measures
+	// through CompiledPlan.MaxErrorOnTraces in input order).
 	Deterministic bool
 	// New builds an injector for the given parameters.
 	New func(Params) (Injector, error)

@@ -8,11 +8,10 @@
 //
 // # Memory model
 //
-// The layered engine keeps two rolling vectors alive; a DAG cannot,
-// because a later level may read any earlier one. The graph engine
-// therefore schedules levels topologically and keeps every level's
-// output resident for the duration of one forward pass — O(Σ N_l) live
-// floats (see nn.forwardDAG). Within a level, each node sums its
+// A later level may read any earlier one, so the forward pass
+// (nn.ForwardModel, the one loop every model runs) schedules levels
+// topologically and keeps every level's output resident for the
+// duration of one pass — O(Σ N_l) live floats. Within a level, each node sums its
 // in-edges over the virtual concatenation of its level's source levels,
 // replaying the dense kernel's four-accumulator order (tensor.Dot) on
 // that concatenation: edge columns below concatWidth&^3 feed

@@ -1,13 +1,11 @@
 package nn
 
-import "sync"
-
 // BatchScratch holds the P-lane evaluation buffers of the batched plan
 // engine: for every hidden layer, `lanes` vectors of that layer's
 // width, allocated as one flat backing array per layer so the lane
 // views of a layer sit contiguously in memory. Like Scratch it is NOT
-// safe for concurrent use — give each worker its own (the pool below) —
-// and buffers are grow-only, so the steady state allocates nothing.
+// safe for concurrent use — give each worker its own — and buffers are
+// grow-only, so the steady state allocates nothing.
 type BatchScratch struct {
 	// sizedFor/sizedLanes tag the (model, lane count) the buffers
 	// currently fit, skipping the per-layer walk on the hot path.
@@ -47,21 +45,6 @@ func (sc *BatchScratch) Ensure(m Model, lanes int) {
 // Layer returns the lane buffers of layer l (1..L); only the first
 // `lanes` passed to Ensure are valid.
 func (sc *BatchScratch) Layer(l int) [][]float64 { return sc.lanes[l-1] }
-
-// batchScratchPool recycles BatchScratch values across batched
-// evaluators and workers.
-var batchScratchPool = sync.Pool{New: func() any { return new(BatchScratch) }}
-
-// GetBatchScratch borrows a pooled BatchScratch sized for `lanes` lanes
-// over m; return it with PutBatchScratch.
-func GetBatchScratch(m Model, lanes int) *BatchScratch {
-	sc := batchScratchPool.Get().(*BatchScratch)
-	sc.Ensure(m, lanes)
-	return sc
-}
-
-// PutBatchScratch returns a BatchScratch to the pool.
-func PutBatchScratch(sc *BatchScratch) { batchScratchPool.Put(sc) }
 
 // LaneSummer is an optional Model refinement: models whose layers can
 // compute the pre-activation sums of several lane vectors in one sweep

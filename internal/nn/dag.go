@@ -1,10 +1,5 @@
 package nn
 
-import (
-	"repro/internal/activation"
-	"repro/internal/tensor"
-)
-
 // DAGModel widens Model to arbitrary feed-forward DAGs: neurons are
 // still grouped into topological levels 1..L (level 0 is the input,
 // level L+1 the output node), but a neuron may read from ANY earlier
@@ -80,17 +75,16 @@ type NodeRef struct{ Level, Index int32 }
 // m's own kernels (LevelSums is LayerSums on ys[l-1], OutputSumLevels is
 // OutputSum on ys[L], in-edge k of a neuron is synapse (l-1, k)), so
 // level-scheduled engines evaluate layered models bit-identically to a
-// layer-by-layer sweep. Building a view allocates; engines build it once.
+// layer-by-layer sweep. Building a view allocates; engines build it once
+// (a Scratch keeps its own, see ForwardModel). AsDAG of a view is the
+// view itself.
 func AsDAG(m Model) DAGModel {
 	if dm, ok := m.(DAGModel); ok {
 		return dm
 	}
-	L := m.NumLayers()
-	prev := make([]int, L+2)
-	for l := 1; l <= L+1; l++ {
-		prev[l] = l - 1
-	}
-	return &layered{Model: m, prev: prev, out: L}
+	v := new(layered)
+	v.bind(m)
+	return v
 }
 
 // layered is the DAG view of a strictly layered model (see AsDAG).
@@ -100,6 +94,19 @@ type layered struct {
 	prev []int
 	// out is L, the level the output node reads.
 	out int
+}
+
+// bind points v at m, growing its level table only when m is deeper
+// than every model v viewed before.
+func (v *layered) bind(m Model) {
+	L := m.NumLayers()
+	if len(v.prev) < L+2 {
+		v.prev = make([]int, L+2)
+		for l := range v.prev {
+			v.prev[l] = l - 1
+		}
+	}
+	v.Model, v.out = m, L
 }
 
 func (v *layered) SrcLevels(l int) []int { return v.prev[l : l+1 : l+1] }
@@ -133,55 +140,4 @@ func IsLayered(m Model) bool {
 		}
 	}
 	return true
-}
-
-// ensureLevels sizes sc.levels for L+1 level pointers (grow-only).
-func (sc *Scratch) ensureLevels(L int) [][]float64 {
-	if cap(sc.levels) < L+1 {
-		sc.levels = make([][]float64, L+1)
-	}
-	sc.levels = sc.levels[:L+1]
-	return sc.levels
-}
-
-// forwardDAG is ForwardModel's level-scheduled path: every level is
-// computed once, in topological order, and stays resident so later
-// levels can read it (the graph memory model — O(total widths) live
-// state instead of the layered engine's two rolling vectors).
-func forwardDAG(m DAGModel, sc *Scratch, x []float64) float64 {
-	sc.ensure(m)
-	L := m.NumLayers()
-	ys := sc.ensureLevels(L)
-	ys[0] = x
-	for l := 1; l <= L; l++ {
-		s := sc.outs[l-1]
-		m.LevelSums(l, s, ys, nil)
-		activation.Eval(m.Activation(), s, s)
-		ys[l] = s
-	}
-	return m.OutputSumLevels(ys)
-}
-
-// traceDAG is TraceModel's level-scheduled path; the returned Trace
-// owns its buffers.
-func traceDAG(m DAGModel, x []float64) *Trace {
-	L := m.NumLayers()
-	tr := &Trace{
-		Input:   tensor.Clone(x),
-		Sums:    make([][]float64, L),
-		Outputs: make([][]float64, L),
-	}
-	ys := make([][]float64, L+1)
-	ys[0] = x
-	for l := 1; l <= L; l++ {
-		s := make([]float64, m.Width(l))
-		m.LevelSums(l, s, ys, nil)
-		tr.Sums[l-1] = s
-		out := make([]float64, len(s))
-		activation.Eval(m.Activation(), out, s)
-		tr.Outputs[l-1] = out
-		ys[l] = out
-	}
-	tr.Output = m.OutputSumLevels(ys)
-	return tr
 }

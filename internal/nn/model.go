@@ -48,12 +48,13 @@ import (
 //     exact zeros, so sparse evaluation can and must reproduce the
 //     dense accumulation order — see tensor.ConvAcc and graph.Net.
 //
-//   - Layered view: the fault engines are level-scheduled and run on
-//     DAGModel only. A model that is not one reaches them through
-//     AsDAG's layered view, in which level l reads only level l-1,
-//     in-edge k of a neuron is synapse (l-1, k), and the level kernels
-//     are LayerSums and OutputSum — so a layered model needs nothing
-//     beyond this interface to run on every engine.
+//   - Layered view: the forward pass, the trace and the fault engines
+//     are level-scheduled and run on DAGModel only. A model that is not
+//     one reaches them through AsDAG's layered view, in which level l
+//     reads only level l-1, in-edge k of a neuron is synapse (l-1, k),
+//     and the level kernels are LayerSums and OutputSum — so a layered
+//     model needs nothing beyond this interface to evaluate, trace and
+//     run on every engine.
 //
 //   - Optional refinements: LaneSummer (multi-lane sums), DAGModel
 //     (arbitrary-topology models; its InEdge/FanIn ordinal addressing
@@ -130,61 +131,82 @@ func (n *Network) OutputSum(y []float64) float64 {
 }
 
 // ForwardModel evaluates m on x using sc's buffers: zero steady-state
-// allocations, bit-identical to the equivalent dense network's
-// ForwardInto. This is the generic engine entry — conv nets expose it
-// as their own ForwardInto.
+// allocations. It is the module's one float64 forward loop: every model
+// runs level by level over its DAG form (a layered model over sc's own
+// view of it, see AsDAG), each level computed once and kept resident so
+// later levels can read it. On a layered model that is LayerSums on the
+// previous level and OutputSum on the last, bit-identical to a
+// layer-by-layer sweep.
 func ForwardModel(m Model, sc *Scratch, x []float64) float64 {
-	if dm, ok := m.(DAGModel); ok {
-		return forwardDAG(dm, sc, x)
-	}
+	dm := sc.dag(m)
 	sc.ensure(m)
-	y := x
-	for l := 1; l <= m.NumLayers(); l++ {
+	L := dm.NumLayers()
+	ys := sc.ensureLevels(L)
+	ys[0] = x
+	for l := 1; l <= L; l++ {
 		s := sc.outs[l-1]
-		m.LayerSums(l, s, y, nil)
-		activation.Eval(m.Activation(), s, s)
-		y = s
+		dm.LevelSums(l, s, ys, nil)
+		activation.Eval(dm.Activation(), s, s)
+		ys[l] = s
 	}
-	return m.OutputSum(y)
+	return dm.OutputSumLevels(ys)
 }
 
-// TraceModel evaluates m on x and returns a Trace that owns its
-// buffers (the persistent-trace form CleanTraces builds).
-func TraceModel(m Model, x []float64) *Trace {
-	if n, ok := m.(*Network); ok {
-		return n.ForwardTrace(x)
-	}
+// dag returns m's DAG form for evaluation on sc: m itself when it is a
+// DAGModel, otherwise sc's layered view rebound to m.
+func (sc *Scratch) dag(m Model) DAGModel {
 	if dm, ok := m.(DAGModel); ok {
-		return traceDAG(dm, x)
+		return dm
 	}
-	L := m.NumLayers()
+	sc.view.bind(m)
+	return &sc.view
+}
+
+// ensureLevels sizes sc.levels for L+1 level pointers (grow-only).
+func (sc *Scratch) ensureLevels(L int) [][]float64 {
+	if cap(sc.levels) < L+1 {
+		sc.levels = make([][]float64, L+1)
+	}
+	sc.levels = sc.levels[:L+1]
+	return sc.levels
+}
+
+// TraceModel evaluates m on x, like ForwardModel, and returns a Trace
+// that owns its buffers (the persistent-trace form CleanTraces builds).
+// Pass AsDAG(m) when tracing many inputs so the view is built once.
+func TraceModel(m Model, x []float64) *Trace {
+	dm := AsDAG(m)
+	L := dm.NumLayers()
+	// ys[v] holds level v's outputs; Outputs shares its tail.
+	ys := make([][]float64, L+1)
 	tr := &Trace{
 		Input:   tensor.Clone(x),
 		Sums:    make([][]float64, L),
-		Outputs: make([][]float64, L),
+		Outputs: ys[1:],
 	}
-	y := x
+	ys[0] = tr.Input
 	for l := 1; l <= L; l++ {
-		s := make([]float64, m.Width(l))
-		m.LayerSums(l, s, y, nil)
+		s := make([]float64, dm.Width(l))
+		dm.LevelSums(l, s, ys, nil)
 		tr.Sums[l-1] = s
 		out := make([]float64, len(s))
-		activation.Eval(m.Activation(), out, s)
-		tr.Outputs[l-1] = out
-		y = out
+		activation.Eval(dm.Activation(), out, s)
+		ys[l] = out
 	}
-	tr.Output = m.OutputSum(y)
+	tr.Output = dm.OutputSumLevels(ys)
 	return tr
 }
 
-// ForwardBatchModel evaluates m on many inputs in parallel. Dense
-// networks take their GEMM-accelerated batch path; other models run
-// per-input forwards on pooled scratch.
+// ForwardBatchModel evaluates m on many inputs in parallel: per-input
+// ForwardModel on pooled scratch, except that a dense network given at
+// least gemmBatchMin inputs runs one matrix-matrix product per layer
+// (bit-identical either way).
 func ForwardBatchModel(m Model, xs [][]float64) []float64 {
-	if n, ok := m.(*Network); ok {
-		return n.ForwardBatch(xs)
-	}
 	out := make([]float64, len(xs))
+	if n, ok := m.(*Network); ok && len(xs) >= gemmBatchMin {
+		n.forwardBatchGEMM(out, xs)
+		return out
+	}
 	parallel.ForChunked(len(xs), 1, func(lo, hi int) {
 		sc := GetScratch(m)
 		for i := lo; i < hi; i++ {

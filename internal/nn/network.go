@@ -19,7 +19,6 @@ import (
 	"math"
 
 	"repro/internal/activation"
-	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -166,56 +165,22 @@ type Trace struct {
 	Output float64
 }
 
-// Forward evaluates Fneu(X) (Equation 1) on pooled scratch: the steady
-// state allocates nothing, and results are bit-identical to ForwardInto.
+// Forward evaluates Fneu(X) (Equation 1) with ForwardModel on pooled
+// scratch: the steady state allocates nothing.
 func (n *Network) Forward(x []float64) float64 {
 	sc := GetScratch(n)
-	f := n.ForwardInto(sc, x)
+	f := ForwardModel(n, sc, x)
 	PutScratch(sc)
 	return f
 }
 
-// ForwardTrace evaluates the network and records all intermediate sums and
-// outputs. The trace owns its buffers; for an allocation-free variant see
-// ForwardTraceInto.
-func (n *Network) ForwardTrace(x []float64) *Trace {
-	tr := &Trace{
-		Input:   tensor.Clone(x),
-		Sums:    make([][]float64, n.Layers()),
-		Outputs: make([][]float64, n.Layers()),
-	}
-	y := x
-	for l, m := range n.Hidden {
-		s := make([]float64, m.Rows)
-		m.MulVecAddTo(s, y, n.bias(l))
-		tr.Sums[l] = s
-		out := make([]float64, len(s))
-		activation.Eval(n.Act, out, s)
-		tr.Outputs[l] = out
-		y = out
-	}
-	tr.Output = tensor.Dot(n.Output, y) + n.OutputBias
-	return tr
-}
+// ForwardTrace evaluates the network and records all intermediate sums
+// and outputs (TraceModel). The trace owns its buffers.
+func (n *Network) ForwardTrace(x []float64) *Trace { return TraceModel(n, x) }
 
-// ForwardBatch evaluates the network on many inputs in parallel. Small
-// batches run per-input matvecs on pooled per-worker scratch; larger
-// batches are evaluated as one matrix-matrix product per layer.
-func (n *Network) ForwardBatch(xs [][]float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) >= gemmBatchMin {
-		n.forwardBatchGEMM(out, xs)
-		return out
-	}
-	parallel.ForChunked(len(xs), 1, func(lo, hi int) {
-		sc := GetScratch(n)
-		for i := lo; i < hi; i++ {
-			out[i] = n.ForwardInto(sc, xs[i])
-		}
-		PutScratch(sc)
-	})
-	return out
-}
+// ForwardBatch evaluates the network on many inputs in parallel
+// (ForwardBatchModel).
+func (n *Network) ForwardBatch(xs [][]float64) []float64 { return ForwardBatchModel(n, xs) }
 
 // Clone returns a deep copy sharing no mutable state with n.
 func (n *Network) Clone() *Network {

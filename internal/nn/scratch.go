@@ -9,21 +9,21 @@ import (
 	"repro/internal/tensor"
 )
 
-// Scratch holds preallocated per-layer buffers for allocation-free
+// Scratch holds preallocated per-level buffers for allocation-free
 // forward passes. A Scratch is NOT safe for concurrent use: give each
-// goroutine its own (ForwardBatch does this via an internal pool). The
-// zero value is usable; buffers grow on first use and are reused
+// goroutine its own (ForwardBatchModel does this via an internal pool).
+// The zero value is usable; buffers grow on first use and are reused
 // afterwards, so steady-state evaluation performs no allocations.
 type Scratch struct {
-	// outs[l-1] receives y^{(l)}; sums[l-1] receives s^{(l)} when
-	// tracing.
+	// outs[l-1] receives y^{(l)}.
 	outs [][]float64
-	sums [][]float64
-	in   []float64
-	tr   Trace
-	// levels[v] aliases level v's outputs during DAG evaluation
-	// (levels[0] is the input, levels[l] aliases outs[l-1]).
+	// levels[v] aliases level v's outputs during evaluation (levels[0]
+	// is the input, levels[l] aliases outs[l-1]).
 	levels [][]float64
+	// view is the layered DAG view ForwardModel evaluates a model that
+	// is not a DAGModel through; rebinding it to another model
+	// allocates nothing once its level table has grown.
+	view layered
 }
 
 // NewScratch returns a Scratch pre-sized for m (any Model: dense or
@@ -46,8 +46,6 @@ func grow(buf []float64, want int) []float64 {
 // ensure sizes the buffers for m (grow-only; cheap when already sized).
 func (sc *Scratch) ensure(m Model) {
 	sc.outs = EnsureLayerSlices(m, 1, sc.outs)
-	sc.sums = EnsureLayerSlices(m, 1, sc.sums)
-	sc.in = grow(sc.in, m.Width(0))
 }
 
 // bias returns the bias vector of layer l+1 (0-based index into Hidden),
@@ -59,46 +57,9 @@ func (n *Network) bias(l int) []float64 {
 	return n.Biases[l]
 }
 
-// ForwardInto evaluates Fneu(X) using sc's buffers: the steady state
-// performs zero allocations. Results are bit-identical to Forward.
-func (n *Network) ForwardInto(sc *Scratch, x []float64) float64 {
-	sc.ensure(n)
-	y := x
-	for l, m := range n.Hidden {
-		s := sc.outs[l]
-		m.MulVecAddTo(s, y, n.bias(l))
-		activation.Eval(n.Act, s, s)
-		y = s
-	}
-	return tensor.Dot(n.Output, y) + n.OutputBias
-}
-
-// ForwardTraceInto evaluates the network recording all intermediate sums
-// and outputs, like ForwardTrace but into sc's buffers: the steady state
-// performs zero allocations. The returned Trace is owned by sc and only
-// valid until its next use.
-func (n *Network) ForwardTraceInto(sc *Scratch, x []float64) *Trace {
-	sc.ensure(n)
-	copy(sc.in, x)
-	tr := &sc.tr
-	tr.Input = sc.in
-	tr.Sums = sc.sums
-	tr.Outputs = sc.outs
-	y := x
-	for l, m := range n.Hidden {
-		s := sc.sums[l]
-		m.MulVecAddTo(s, y, n.bias(l))
-		out := sc.outs[l]
-		activation.Eval(n.Act, out, s)
-		y = out
-	}
-	tr.Output = tensor.Dot(n.Output, y) + n.OutputBias
-	return tr
-}
-
-// scratchPool recycles Scratch values across ForwardBatch workers (and
-// any other callers evaluating many inputs); buffers are grow-only, so a
-// pooled Scratch adapts to whichever network uses it next.
+// scratchPool recycles Scratch values across ForwardBatchModel workers
+// (and any other callers evaluating many inputs); buffers are grow-only,
+// so a pooled Scratch adapts to whichever model uses it next.
 var scratchPool = sync.Pool{New: func() any { return &Scratch{} }}
 
 // GetScratch borrows a pooled Scratch sized for m; return it with
@@ -112,15 +73,16 @@ func GetScratch(m Model) *Scratch {
 // PutScratch returns a Scratch to the pool.
 func PutScratch(sc *Scratch) { scratchPool.Put(sc) }
 
-// gemmBatchMin is the batch size from which ForwardBatch switches from
-// per-worker matvecs to one matrix-matrix product per layer.
+// gemmBatchMin is the batch size from which ForwardBatchModel evaluates
+// a dense network as one matrix-matrix product per layer instead of
+// per-input forwards.
 const gemmBatchMin = 16
 
 // forwardBatchGEMM evaluates the whole batch as one GEMM per layer:
 // inputs are packed as the rows of X and every layer computes
 // S = X W^{(l)ᵀ} (+ bias), so each weight matrix is swept once per batch
-// instead of once per input. Per-row arithmetic matches Forward exactly,
-// so results are bit-identical.
+// instead of once per input. Per-row arithmetic matches ForwardModel
+// exactly, so results are bit-identical.
 func (n *Network) forwardBatchGEMM(out []float64, xs [][]float64) {
 	batch := len(xs)
 	x := tensor.NewMatrix(batch, n.InputDim)

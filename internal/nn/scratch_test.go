@@ -14,8 +14,8 @@ func scratchNets(r *rng.Rand) []*Network {
 	}
 }
 
-// TestForwardIntoMatchesForward checks bit-for-bit agreement between the
-// allocating and scratch-backed forward passes.
+// TestForwardIntoMatchesForward checks bit-for-bit agreement between a
+// reused Scratch and the pooled forward pass.
 func TestForwardIntoMatchesForward(t *testing.T) {
 	r := rng.New(7)
 	for _, net := range scratchNets(r) {
@@ -23,58 +23,23 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			x := make([]float64, net.InputDim)
 			r.Floats(x, 0, 1)
-			if got, want := net.ForwardInto(sc, x), net.Forward(x); got != want {
-				t.Fatalf("ForwardInto %v != Forward %v", got, want)
+			if got, want := ForwardModel(net, sc, x), net.Forward(x); got != want {
+				t.Fatalf("ForwardModel %v != Forward %v", got, want)
 			}
 		}
 	}
 }
 
-// TestForwardTraceIntoMatchesForwardTrace checks every recorded quantity
-// bit for bit.
-func TestForwardTraceIntoMatchesForwardTrace(t *testing.T) {
-	r := rng.New(8)
-	for _, net := range scratchNets(r) {
-		sc := NewScratch(net)
-		x := make([]float64, net.InputDim)
-		r.Floats(x, 0, 1)
-		got := net.ForwardTraceInto(sc, x)
-		want := net.ForwardTrace(x)
-		if got.Output != want.Output {
-			t.Fatalf("trace output %v != %v", got.Output, want.Output)
-		}
-		for l := range want.Sums {
-			for j := range want.Sums[l] {
-				if got.Sums[l][j] != want.Sums[l][j] {
-					t.Fatalf("sum (%d,%d) differs", l, j)
-				}
-				if got.Outputs[l][j] != want.Outputs[l][j] {
-					t.Fatalf("output (%d,%d) differs", l, j)
-				}
-			}
-		}
-		for i := range want.Input {
-			if got.Input[i] != want.Input[i] {
-				t.Fatalf("input %d differs", i)
-			}
-		}
-	}
-}
-
-// TestForwardIntoZeroAllocs asserts the scratch paths allocate nothing
+// TestForwardIntoZeroAllocs asserts the scratch path allocates nothing
 // in the steady state.
 func TestForwardIntoZeroAllocs(t *testing.T) {
 	r := rng.New(9)
 	net := NewRandom(r, Config{InputDim: 4, Widths: []int{16, 16}, Act: activation.NewSigmoid(1), Bias: true}, 0.5)
 	sc := NewScratch(net)
 	x := []float64{0.1, 0.9, 0.4, 0.6}
-	net.ForwardInto(sc, x)
-	if allocs := testing.AllocsPerRun(100, func() { net.ForwardInto(sc, x) }); allocs != 0 {
-		t.Errorf("ForwardInto: %v allocs per run, want 0", allocs)
-	}
-	net.ForwardTraceInto(sc, x)
-	if allocs := testing.AllocsPerRun(100, func() { net.ForwardTraceInto(sc, x) }); allocs != 0 {
-		t.Errorf("ForwardTraceInto: %v allocs per run, want 0", allocs)
+	ForwardModel(net, sc, x)
+	if allocs := testing.AllocsPerRun(100, func() { ForwardModel(net, sc, x) }); allocs != 0 {
+		t.Errorf("ForwardModel: %v allocs per run, want 0", allocs)
 	}
 }
 

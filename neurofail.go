@@ -282,7 +282,7 @@ type CompiledPlan = fault.CompiledPlan
 func CompilePlan(n Model, p Plan) *CompiledPlan { return fault.Compile(n, p) }
 
 // Scratch holds preallocated buffers for allocation-free forward passes
-// (Network.ForwardInto / ForwardTraceInto). Not safe for concurrent use.
+// of any model (ForwardModel). Not safe for concurrent use.
 type Scratch = nn.Scratch
 
 // NewScratch returns evaluation scratch sized for any model.
